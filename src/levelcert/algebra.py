@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import Matrix, block_diag, hstack, kernel_basis, rank, rref, solve
+from .linalg import Matrix, block_diag, check_modulus, hstack, kernel_basis, rank, rref, solve
 
 __all__ = [
     "Arrow",
@@ -139,6 +139,10 @@ class Algebra:
 
 
 def _validate_presentation(pres: Presentation) -> None:
+    try:
+        check_modulus(pres.p)
+    except ValueError as exc:
+        raise AlgebraError(str(exc)) from exc
     if len(set(pres.vertices)) != len(pres.vertices):
         raise AlgebraError("duplicate vertex names")
     if not pres.vertices:

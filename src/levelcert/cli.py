@@ -107,7 +107,7 @@ def cmd_xdim(args) -> int:
                         {
                             "cover_dims": list(s.cover.dims),
                             "kernel_dims": list(s.kernel.dims),
-                            "in_add": s.verdict.ok,
+                            "in_add": s.in_add,
                         }
                         for s in report.steps
                     ],
@@ -121,7 +121,7 @@ def cmd_xdim(args) -> int:
     else:
         print(f"relative dimension {report.value}")
     for t, s in enumerate(report.steps, start=1):
-        verdict = "in add M" if s.verdict.ok else "not in add M"
+        verdict = "in add M" if s.in_add else "not in add M"
         print(
             f"  step {t}: cover {_dim_vector(alg, s.cover)} "
             f"-> kernel {_dim_vector(alg, s.kernel)} ({verdict})"
@@ -272,7 +272,9 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, cap=True):
-        p.add_argument("--seed", type=int, default=0, help="seed for all randomized searches")
+        p.add_argument(
+            "--seed", type=int, default=0, help="seed for random samples (recorded in certificates)"
+        )
         if cap:
             p.add_argument("--cap", type=int, default=DEFAULT_CAP, help="resolution length cap")
         p.add_argument("--json", action="store_true", help="emit machine-readable JSON")

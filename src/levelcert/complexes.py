@@ -43,7 +43,6 @@ __all__ = [
     "DiskShapeError",
     "stalk",
     "disk",
-    "evaluate",
     "cycles",
     "boundaries",
     "Homology",
@@ -181,10 +180,6 @@ def disk(m: Module, i: int) -> Complex:
     if m.is_zero():
         return Complex.zero(m.algebra)
     return Complex(m.algebra, i - 1, (m, m), (ModuleMap.identity(m),))
-
-
-def evaluate(a: Complex, i: int) -> Module:
-    return a.term(i)
 
 
 class ChainMap:

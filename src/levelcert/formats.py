@@ -39,7 +39,7 @@ from .algebra import (
     load_algebra,
 )
 from .complexes import ChainMap, Complex, Piece, ShortExactSequence, assemble_pieces
-from .homological import Generator, InAddVerdict, make_generator
+from .homological import Generator, make_generator
 from .levels import Branch, Leaf, Node
 
 __all__ = [
@@ -631,8 +631,6 @@ def _write_node(w: _Writer, node: Node):
         _write_complex_inline(w, "subject", node.subject)
         for piece in node.pieces:
             _write_piece(w, piece)
-        for verdict in node.verdicts:
-            w.put("verdict", *(verdict.multiplicities or ()))
         _write_chain_map(w, "presentation", node.presentation)
         w.end("leaf")
         return
@@ -664,11 +662,7 @@ def _read_node(block: Block, alg: Algebra, path: str) -> Node:
         presentation = _read_chain_map(
             block.child("presentation"), subject, target, path
         )
-        verdicts = tuple(
-            InAddVerdict(True, tuple(int(x) for x in values), None)
-            for values in block.field_values("verdict")
-        )
-        return Leaf(subject, pieces, presentation, verdicts, level)
+        return Leaf(subject, pieces, presentation, level)
     if block.kind == "branch":
         level = _int(block.one_field("level"), 0, block.line)
         kind = block.one_field("kind")[0]

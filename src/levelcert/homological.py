@@ -1,11 +1,22 @@
-"""Module-level homological tools: decomposition, add-membership, syzygies,
-and dimensions relative to an additive generator.
+"""Module-level homological tools: add-membership, syzygies, dimensions
+relative to an additive generator, and decomposition.
 
-Randomized searches (Fitting splittings, isomorphism hunting) take explicit
-seeds and fall back to exhaustive enumeration whenever the search space is
-small, so all results are reproducible bit for bit.  The enumeration
-threshold ENUM_LIMIT bounds the number of coefficient vectors tried
-exhaustively; above it a fixed number of seeded random trials is used.
+Membership in add M is decided exactly by the trace criterion (see
+in_add): one pair of hom spaces and one linear solve, with no search and
+no seed.  Everything built on it, the relative dimension xdim, the
+certificate builders and the verifier, is therefore exact as well.
+
+The reporting functions decompose and modules_isomorphic are the only
+searches left.  They enumerate exhaustively whenever the search space is
+small and fall back to seeded random trials otherwise: the threshold
+ENUM_LIMIT bounds the number of coefficient vectors tried exhaustively;
+above it RANDOM_TRIALS seeded combinations are used, which can in principle
+miss a splitting or an isomorphism.  Nothing on the membership or
+certificate path calls them.
+
+The seed parameters of make_generator, xdim and
+check_semi_resolving_samples no longer influence any result; they are
+accepted so that existing callers keep working.
 """
 
 from __future__ import annotations
@@ -25,7 +36,7 @@ from .algebra import (
     kernel,
     projective_cover,
 )
-from .linalg import Matrix, hstack, inverse, rank
+from .linalg import Matrix, hstack, inverse, rank, solve
 
 __all__ = [
     "DEFAULT_CAP",
@@ -37,7 +48,6 @@ __all__ = [
     "Generator",
     "GeneratorError",
     "make_generator",
-    "InAddVerdict",
     "in_add",
     "syzygy",
     "XDimStep",
@@ -253,13 +263,11 @@ def modules_isomorphic(a: Module, b: Module, seed: int = 0) -> ModuleMap | None:
 class Generator:
     """An additive generator M, with X = add M.
 
-    The indecomposable summands are computed once at construction; the
-    semi-resolving property is declared by the caller and only empirically
-    refutable (see check_semi_resolving_samples).
+    The semi-resolving property is declared by the caller and only
+    empirically refutable (see check_semi_resolving_samples).
     """
 
     module: Module
-    summands: tuple[Module, ...]
     declared_semi_resolving: bool
 
 
@@ -270,13 +278,9 @@ def make_generator(
     lies in add M; a violation is a hard error."""
     if m.is_zero():
         raise GeneratorError("the zero module generates nothing")
-    dec = decompose(m, seed)
-    summands = tuple(rep for rep, _ in dec.pairs)
-    gen = Generator(m, summands, declared_semi_resolving)
+    gen = Generator(m, declared_semi_resolving)
     for v in m.algebra.vertices:
-        pv = indecomposable_projective(m.algebra, v)
-        verdict = in_add(pv, gen, seed)
-        if not verdict.ok:
+        if not in_add(indecomposable_projective(m.algebra, v), gen):
             raise GeneratorError(
                 f"projective at vertex {v!r} is not in add M; "
                 "the generator cannot witness a resolving subcategory"
@@ -284,32 +288,39 @@ def make_generator(
     return gen
 
 
-@dataclass(frozen=True)
-class InAddVerdict:
-    ok: bool
-    multiplicities: tuple[int, ...] | None  # per generator summand
-    failing: Module | None
+def in_add(m: Module, gen: Generator) -> bool:
+    """Decide membership in add M exactly, by the trace criterion.
 
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def in_add(m: Module, gen: Generator, seed: int = 0) -> InAddVerdict:
-    """Decide membership in add M by matching indecomposable summands."""
+    m lies in add M exactly when id_m factors through a finite sum of
+    copies of M, that is, when id_m lies in the span of the composites
+    f o g with g in Hom(m, M) and f in Hom(M, m) (Auslander-Reiten-Smalo,
+    Representation Theory of Artin Algebras, ch. II).  The composites of
+    the two hom bases are formed vertex by vertex in one contraction each,
+    stacked into one matrix with a column per pair (f, g), and id_m is
+    tested against their span by a single solve.
+    """
     if m.algebra != gen.module.algebra:
         raise AlgebraError("in_add needs a common algebra")
-    mults = [0] * len(gen.summands)
     if m.is_zero():
-        return InAddVerdict(True, tuple(mults), None)
-    dec = decompose(m, seed)
-    for part, count in dec.pairs:
-        for idx, summand in enumerate(gen.summands):
-            if modules_isomorphic(part, summand, seed) is not None:
-                mults[idx] += count
-                break
-        else:
-            return InAddVerdict(False, None, part)
-    return InAddVerdict(True, tuple(mults), None)
+        return True
+    into = hom_space(m, gen.module)
+    if not into:
+        return False
+    out_of = hom_space(gen.module, m)
+    if not out_of:
+        return False
+    p = m.algebra.p
+    rows = []
+    for v, d in enumerate(m.dims):
+        if d == 0:
+            continue
+        f = np.stack([h.blocks[v].array for h in out_of])  # (J, d, M_v)
+        g = np.stack([h.blocks[v].array for h in into])  # (I, M_v, d)
+        # table[j, i] = f_j[v] @ g_i[v], flattened row-major to d * d rows
+        table = np.einsum("jab,ibc->acji", f, g) % p
+        rows.append(table.reshape(d * d, len(out_of) * len(into)))
+    identity = np.concatenate([np.eye(d, dtype=np.int64).reshape(-1) for d in m.dims])
+    return solve(Matrix(p, np.vstack(rows)), Matrix(p, identity[:, None])) is not None
 
 
 def syzygy(m: Module, n: int) -> Module:
@@ -333,7 +344,7 @@ def syzygy(m: Module, n: int) -> Module:
 class XDimStep:
     cover: Module
     kernel: Module
-    verdict: InAddVerdict
+    in_add: bool
 
 
 @dataclass(frozen=True)
@@ -351,7 +362,7 @@ class XDimReport:
     generator: Generator
     cap: int
     value: int | None
-    initial: InAddVerdict
+    initial: bool
     steps: tuple[XDimStep, ...]
     conditional_on_semi_resolving: bool
 
@@ -368,17 +379,17 @@ def xdim(m: Module, gen: Generator, cap: int = DEFAULT_CAP, seed: int = 0) -> XD
     true relative dimension; in general it is an upper-bound procedure
     conditional on the declared flag.
     """
-    first = in_add(m, gen, seed)
-    if first.ok:
+    first = in_add(m, gen)
+    if first:
         return XDimReport(m, gen, cap, 0, first, (), gen.declared_semi_resolving)
     steps: list[XDimStep] = []
     cur = m
     for t in range(1, cap + 1):
         cover = projective_cover(cur)
         k = cover.kernel
-        verdict = in_add(k, gen, seed)
-        steps.append(XDimStep(cover.projective, k, verdict))
-        if verdict.ok:
+        member = in_add(k, gen)
+        steps.append(XDimStep(cover.projective, k, member))
+        if member:
             return XDimReport(
                 m, gen, cap, t, first, tuple(steps), gen.declared_semi_resolving
             )
@@ -421,8 +432,8 @@ def check_semi_resolving_samples(
     for sample in samples:
         cover = projective_cover(sample)
         k = cover.kernel
-        if in_add(sample, gen, seed).ok:
-            ok = in_add(k, gen, seed).ok
+        if in_add(sample, gen):
+            ok = in_add(k, gen)
             checks.append(
                 SampleCheck(
                     sample,

@@ -24,6 +24,10 @@ columns whose cycles, boundaries and homology are all projective; such
 columns decompose as sums of stalks and disks on projectives, and the
 column count is governed by projective resolutions of the boundary and
 homology modules, giving level at most d + 1.
+
+Add-M membership (homological.in_add) is exact, so neither the builders
+nor the verifier depend on a seed; their seed parameters are accepted so
+that existing callers keep working and have no effect.
 """
 
 from __future__ import annotations
@@ -58,7 +62,6 @@ from .complexes import (
 from .homological import (
     DEFAULT_CAP,
     Generator,
-    InAddVerdict,
     in_add,
     xdim,
 )
@@ -68,7 +71,6 @@ __all__ = [
     "WitnessError",
     "Leaf",
     "Branch",
-    "certificate_level",
     "ReductionStep",
     "reduction_step",
     "build_split_witness",
@@ -95,7 +97,6 @@ class Leaf:
     subject: Complex
     pieces: tuple[Piece, ...]
     presentation: ChainMap  # subject -> assembled pieces
-    verdicts: tuple[InAddVerdict, ...]  # builder's add-M verdicts per piece
     level: int
 
 
@@ -125,28 +126,21 @@ class Branch:
 Node = Leaf | Branch
 
 
-def certificate_level(node: Node) -> int:
-    return node.level
-
-
-def _leaf(subject: Complex, pieces, presentation: ChainMap, gen: Generator, seed: int) -> Leaf:
+def _leaf(subject: Complex, pieces, presentation: ChainMap, gen: Generator) -> Leaf:
     pieces = tuple(pieces)
-    verdicts = []
     for p in pieces:
-        v = in_add(p.module, gen, seed)
-        if not v.ok:
+        if not in_add(p.module, gen):
             raise WitnessError(
                 f"leaf piece at degree {p.degree} is not in add M "
                 f"(dims {p.module.dims})"
             )
-        verdicts.append(v)
     level = 0 if presentation.target.is_zero() else 1
-    return Leaf(subject, pieces, presentation, tuple(verdicts), level)
+    return Leaf(subject, pieces, presentation, level)
 
 
-def _zero_leaf(subject: Complex, gen: Generator, seed: int) -> Leaf:
+def _zero_leaf(subject: Complex, gen: Generator) -> Leaf:
     target = Complex.zero(subject.algebra)
-    return _leaf(subject, (), ChainMap.zero(subject, target), gen, seed)
+    return _leaf(subject, (), ChainMap.zero(subject, target), gen)
 
 
 # ---------------------------------------------------------------------------
@@ -171,13 +165,13 @@ class ReductionStep:
         return self.epi_data.kernel
 
 
-def _cycle_boundary_bounds(a: Complex, gen: Generator, cap: int, seed: int):
+def _cycle_boundary_bounds(a: Complex, gen: Generator, cap: int):
     out = []
     for n in a.support:
         z, _ = cycles(a, n)
         b, _ = boundaries(a, n)
-        out.append(CycleBound(n, "cycles", xdim(z, gen, cap, seed).value))
-        out.append(CycleBound(n, "boundaries", xdim(b, gen, cap, seed).value))
+        out.append(CycleBound(n, "cycles", xdim(z, gen, cap).value))
+        out.append(CycleBound(n, "boundaries", xdim(b, gen, cap).value))
     return tuple(out)
 
 
@@ -195,7 +189,7 @@ def reduction_step(
     """
     if d < 1:
         raise WitnessError("reduction step needs d >= 1")
-    inputs = _cycle_boundary_bounds(a, gen, cap, seed)
+    inputs = _cycle_boundary_bounds(a, gen, cap)
     for cb in inputs:
         if cb.value is None or cb.value > d:
             raise WitnessError(
@@ -203,7 +197,7 @@ def reduction_step(
                 f"{'beyond the cap' if cb.value is None else cb.value}, not <= {d}"
             )
     pe = projective_epi(a)
-    outputs = _cycle_boundary_bounds(pe.kernel, gen, cap, seed)
+    outputs = _cycle_boundary_bounds(pe.kernel, gen, cap)
     for cb in outputs:
         if cb.value is None or cb.value > d - 1:
             raise WitnessError(
@@ -220,7 +214,7 @@ def reduction_step(
 # Splitting builder: level <= d + 2
 
 
-def _cycle_boundary_split(a: Complex, gen: Generator, seed: int) -> Branch:
+def _cycle_boundary_split(a: Complex, gen: Generator) -> Branch:
     """The base split 0 -> (cycles, 0) -> a -> (boundaries, 0) -> 0."""
     alg = a.algebra
     z_data = {n: cycles(a, n) for n in a.support}
@@ -242,8 +236,8 @@ def _cycle_boundary_split(a: Complex, gen: Generator, seed: int) -> Branch:
         a, i_complex, {n: img_data[n][2] for n in i_complex.support}
     )
     ses = ShortExactSequence(incl, proj)
-    k_leaf = _leaf(k_complex, k_pieces, ChainMap.identity(k_complex), gen, seed)
-    i_leaf = _leaf(i_complex, i_pieces, ChainMap.identity(i_complex), gen, seed)
+    k_leaf = _leaf(k_complex, k_pieces, ChainMap.identity(k_complex), gen)
+    i_leaf = _leaf(i_complex, i_pieces, ChainMap.identity(i_complex), gen)
     return Branch(
         a,
         ses,
@@ -271,8 +265,8 @@ def build_split_witness(
     recurses on the kernel with d - 1.
     """
     if a.is_zero():
-        return _zero_leaf(a, gen, seed)
-    bounds = _cycle_boundary_bounds(a, gen, cap, seed)
+        return _zero_leaf(a, gen)
+    bounds = _cycle_boundary_bounds(a, gen, cap)
     if any(cb.value is None for cb in bounds):
         raise WitnessError(
             "a cycle or boundary module has relative dimension beyond the cap"
@@ -281,7 +275,7 @@ def build_split_witness(
 
     def step_or_explain(c: Complex, depth: int) -> ReductionStep:
         try:
-            return reduction_step(c, gen, depth, cap, seed)
+            return reduction_step(c, gen, depth, cap)
         except WitnessError as exc:
             # the one-step decrease is only guaranteed when the depth
             # parameter bounds the relative dimension of every module, which
@@ -296,7 +290,7 @@ def build_split_witness(
 
     def build(c: Complex, depth: int) -> Node:
         if c.is_zero():
-            return _zero_leaf(c, gen, seed)
+            return _zero_leaf(c, gen)
         if depth == 0:
             if all(c.diff(n).is_zero() for n in c.support):
                 # already a sum of stalks: one layer, no triangle needed
@@ -305,12 +299,12 @@ def build_split_witness(
                     for n in c.support
                     if not c.term(n).is_zero()
                 ]
-                return _leaf(c, pieces, ChainMap.identity(c), gen, seed)
-            return _cycle_boundary_split(c, gen, seed)
+                return _leaf(c, pieces, ChainMap.identity(c), gen)
+            return _cycle_boundary_split(c, gen)
         step = step_or_explain(c, depth)
         sub = build(step.kernel, depth - 1)
         pd = step.epi_data
-        rest = _leaf(pd.cover, pd.pieces, ChainMap.identity(pd.cover), gen, seed)
+        rest = _leaf(pd.cover, pd.pieces, ChainMap.identity(pd.cover), gen)
         return Branch(
             c,
             pd.ses,
@@ -589,8 +583,8 @@ def build_resolution_witness(
             "the resolution witness requires d >= 2; use the splitting builder"
         )
     if a.is_zero():
-        return _zero_leaf(a, gen, seed)
-    for cb in _cycle_boundary_bounds(a, gen, cap, seed):
+        return _zero_leaf(a, gen)
+    for cb in _cycle_boundary_bounds(a, gen, cap):
         if cb.value is None or cb.value > d:
             raise WitnessError(
                 f"{cb.kind} at degree {cb.degree} have relative dimension "
@@ -634,11 +628,11 @@ def build_resolution_witness(
     if not towers:
         # length 0: the augmentation itself is an isomorphism of complexes
         pres = _invert_chain_iso(aug)
-        return _leaf(a, all_pieces[0], pres, gen, seed)
+        return _leaf(a, all_pieces[0], pres, gen)
 
     k_last, _, eps_last = towers[-1]
     pres = _invert_chain_iso(eps_last)
-    node: Node = _leaf(k_last, all_pieces[-1], pres, gen, seed)
+    node: Node = _leaf(k_last, all_pieces[-1], pres, gen)
     for j in range(length, 0, -1):
         k_j, incl_j, _ = towers[j - 1]
         quotient = a if j == 1 else towers[j - 2][0]
@@ -649,7 +643,6 @@ def build_resolution_witness(
             all_pieces[j - 1],
             ChainMap.identity(columns[j - 1]),
             gen,
-            seed,
         )
         node = Branch(
             quotient,
@@ -708,7 +701,7 @@ def verify_certificate(node: Node, gen: Generator, seed: int = 0) -> Verdict:
         if not is_quasi_iso(leaf.presentation):
             return _reject(path, "leaf presentation is not a quasi-isomorphism")
         for p in leaf.pieces:
-            if not in_add(p.module, gen, seed).ok:
+            if not in_add(p.module, gen):
                 return _reject(
                     path,
                     f"leaf piece at degree {p.degree} (dims {p.module.dims}) "

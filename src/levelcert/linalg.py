@@ -4,6 +4,9 @@ Every value is immutable and every routine is a pure function, so the whole
 module is safe to use from multiple threads.  Matrices are stored densely as
 row-major int64 arrays with entries reduced into [0, p); this is the right
 trade-off at the dimensions this package works with (a few hundred at most).
+The modulus is bounded by MAX_MODULUS = 2^20, so an inner product of n terms
+stays below n (p - 1)^2 < 2^63 for any n that fits in memory and every
+int64 product and elimination step is exact.
 
 The reduced row echelon form is unique, and the kernel/solve routines read
 their answers off the rref pivot structure, so every basis produced here is
@@ -18,6 +21,8 @@ from functools import lru_cache
 import numpy as np
 
 __all__ = [
+    "MAX_MODULUS",
+    "check_modulus",
     "Matrix",
     "RrefResult",
     "rref",
@@ -31,8 +36,16 @@ __all__ = [
 ]
 
 
+MAX_MODULUS = 2**20
+
+
 @lru_cache(maxsize=None)
-def _check_prime(p: int) -> None:
+def check_modulus(p: int) -> None:
+    """Raise ValueError unless p is a prime below MAX_MODULUS."""
+    if p >= MAX_MODULUS:
+        raise ValueError(
+            f"modulus {p} is too large: int64 arithmetic is exact only below {MAX_MODULUS}"
+        )
     if p < 2:
         raise ValueError(f"modulus must be a prime, got {p}")
     d = 2
@@ -48,7 +61,7 @@ class Matrix:
     __slots__ = ("p", "array")
 
     def __init__(self, p: int, array) -> None:
-        _check_prime(p)
+        check_modulus(p)
         arr = np.asarray(array, dtype=np.int64)
         if arr.ndim != 2:
             raise ValueError(f"matrix data must be 2-dimensional, got shape {arr.shape}")

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
+import time
 
 import numpy as np
 import pytest
@@ -67,6 +69,22 @@ def test_not_finite_dimensional():
     pres = Presentation(2, ("1",), (Arrow("a", "1", "1"),), (), 3)
     with pytest.raises(AlgebraError, match="not finite-dimensional"):
         load_algebra(pres)
+
+
+@pytest.mark.parametrize("p", [2**31 - 1, 2**61 - 1])
+def test_modulus_beyond_exact_range_rejected(p):
+    pres = Presentation(p, ("1", "2"), (Arrow("a", "1", "2"),), (), 2)
+    t0 = time.perf_counter()
+    with pytest.raises(AlgebraError, match="too large"):
+        load_algebra(pres)
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_largest_admitted_modulus_loads_lambda2(a2):
+    # 1048573 is the largest prime below 2^20
+    alg = load_algebra(dataclasses.replace(a2.presentation, p=1048573))
+    assert alg.p == 1048573
+    assert alg.dim == a2.dim
 
 
 def test_relation_must_compose():

@@ -5,6 +5,8 @@ from __future__ import annotations
 import json
 import pathlib
 
+import pytest
+
 from levelcert.cli import main
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
@@ -38,6 +40,18 @@ def test_check_bad_file(tmp_path, capsys):
     bad.write_text("begin algebra x\nmodulus 2\ncap 2\nvertex 1\nrelation 1 q.q\nend algebra\n")
     assert main(["check", str(bad)]) == 3
     assert "line" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "modulus, message", [("2147483647", "too large"), ("4", "must be a prime")]
+)
+def test_check_rejects_unusable_modulus(tmp_path, capsys, modulus, message):
+    bad = tmp_path / "bad.alg"
+    bad.write_text(
+        (FIXTURES / "lambda2.alg").read_text().replace("modulus 2", f"modulus {modulus}")
+    )
+    assert main(["check", str(bad)]) == 3
+    assert message in capsys.readouterr().err
 
 
 def test_check_missing_file(capsys):

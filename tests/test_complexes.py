@@ -27,7 +27,6 @@ from levelcert.complexes import (
     cycles,
     disk,
     disk_profile,
-    evaluate,
     homology,
     is_quasi_iso,
     kernel_of_chain_map,
@@ -87,9 +86,9 @@ def test_disk_is_acyclic(a2):
 def test_disk_evaluation(a2):
     p1 = indecomposable_projective(a2, "1")
     d = disk(p1, 3)
-    assert evaluate(d, 3) == p1
-    assert evaluate(d, 2) == p1
-    assert evaluate(d, 1).is_zero()
+    assert d.term(3) == p1
+    assert d.term(2) == p1
+    assert d.term(1).is_zero()
 
 
 def test_disk_of_zero(a2):

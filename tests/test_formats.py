@@ -27,7 +27,7 @@ from levelcert.formats import (
     render_generator,
     render_module,
 )
-from levelcert.homological import make_generator
+from levelcert.homological import decompose, make_generator
 from levelcert.levels import build_split_witness, verify_certificate
 from levelcert.sampling import random_complex
 
@@ -137,7 +137,7 @@ def test_generator_fixture_files(dual):
     assert gen.module.dims == (2,)
     _, gen_all = load_generator_file(str(FIXTURES / "lambda1.all.gen"), dual)
     assert gen_all.module.dims == (3,)
-    assert len(gen_all.summands) == 2
+    assert len(decompose(gen_all.module).pairs) == 2
 
 
 def test_certificate_roundtrip(a2):
@@ -150,6 +150,26 @@ def test_certificate_roundtrip(a2):
     assert verify_certificate(node2, gen2).accepted
     text2 = render_certificate("lambda2", alg2, "proj", gen2, node2, seed=seed)
     assert text2 == text
+
+
+def test_certificate_with_legacy_verdict_lines_still_reads(a2):
+    # certificates written before the membership test became exact carry
+    # one "verdict" line per leaf piece; readers skip them
+    gen = make_generator(projective_generator(a2))
+    node = build_split_witness(stalk(simple_module(a2, "1"), 0), gen)
+    text = render_certificate("lambda2", a2, "proj", gen, node, seed=0)
+    assert "verdict" not in text
+    lines = text.splitlines()
+    legacy = []
+    for ln in lines:
+        legacy.append(ln)
+        if ln.strip() == "begin leaf":
+            indent = ln[: len(ln) - len(ln.lstrip())]
+            legacy += [indent + "  verdict 1 0", indent + "  verdict 0 1"]
+    assert len(legacy) > len(lines)
+    alg2, gen2, node2, seed = decode_certificate("\n".join(legacy) + "\n")
+    assert verify_certificate(node2, gen2, seed).accepted
+    assert render_certificate("lambda2", alg2, "proj", gen2, node2, seed) == text
 
 
 def test_certificate_tamper_is_loud(a2):

@@ -2,19 +2,29 @@
 
 from __future__ import annotations
 
+import dataclasses
+import functools
+import pathlib
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from levelcert.algebra import (
     Matrix,
     Module,
     ModuleMap,
     direct_sum,
+    hom_space,
     indecomposable_projective,
+    load_algebra,
     projective_generator,
     simple_module,
 )
+from levelcert.formats import load_algebra_file, load_generator_file
 from levelcert.homological import (
+    ENUM_LIMIT,
     GeneratorError,
     check_semi_resolving_samples,
     decompose,
@@ -24,6 +34,9 @@ from levelcert.homological import (
     syzygy,
     xdim,
 )
+from levelcert.sampling import random_module
+
+FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
 
 @pytest.fixture(scope="module")
@@ -116,20 +129,15 @@ def test_iso_finds_nontrivial_match(dual):
 
 
 def test_in_add_zero_module(a2, gen_proj_a2):
-    verdict = in_add(Module.zero(a2), gen_proj_a2)
-    assert verdict.ok
-    assert all(m == 0 for m in verdict.multiplicities)
+    assert in_add(Module.zero(a2), gen_proj_a2) is True
 
 
 def test_in_add_projective_summand(a2, gen_proj_a2):
-    assert in_add(indecomposable_projective(a2, "2"), gen_proj_a2).ok
+    assert in_add(indecomposable_projective(a2, "2"), gen_proj_a2)
 
 
 def test_in_add_rejects_simple(a2, gen_proj_a2):
-    verdict = in_add(simple_module(a2, "1"), gen_proj_a2)
-    assert not verdict.ok
-    assert verdict.failing is not None
-    assert verdict.failing.dims == (1, 0)
+    assert in_add(simple_module(a2, "1"), gen_proj_a2) is False
 
 
 def test_in_add_invariant_under_permutation(a3, gen_proj_a3):
@@ -137,10 +145,13 @@ def test_in_add_invariant_under_permutation(a3, gen_proj_a3):
     p3 = indecomposable_projective(a3, "3")
     ab, _, _ = direct_sum(a3, [p1, p3])
     ba, _, _ = direct_sum(a3, [p3, p1])
-    va = in_add(ab, gen_proj_a3)
-    vb = in_add(ba, gen_proj_a3)
-    assert va.ok and vb.ok
-    assert va.multiplicities == vb.multiplicities
+    assert in_add(ab, gen_proj_a3) is True
+    assert in_add(ba, gen_proj_a3) is True
+    s2 = simple_module(a3, "2")
+    sp, _, _ = direct_sum(a3, [s2, p1])
+    ps, _, _ = direct_sum(a3, [p1, s2])
+    assert in_add(sp, gen_proj_a3) is False
+    assert in_add(ps, gen_proj_a3) is False
 
 
 def test_generator_requires_projectives(a2):
@@ -149,7 +160,77 @@ def test_generator_requires_projectives(a2):
 
 
 def test_generator_own_module_in_add(gen_all_dual):
-    assert in_add(gen_all_dual.module, gen_all_dual).ok
+    assert in_add(gen_all_dual.module, gen_all_dual)
+
+
+# The trace criterion against the summand-matching reference.  decompose
+# and modules_isomorphic are exact while every search they run is
+# exhaustive: p^dim End(m) <= ENUM_LIMIT makes the splitting of m exact, and
+# p^dim Hom(m, M) <= ENUM_LIMIT bounds every isomorphism test between a
+# summand of m and a summand of M.
+
+_STEMS = ("lambda1", "lambda2", "lambda3", "lambda4")
+_ALGEBRAS = {stem: load_algebra_file(str(FIXTURES / f"{stem}.alg"))[1] for stem in _STEMS}
+_GENERATORS = {
+    (stem, kind): load_generator_file(str(FIXTURES / f"{stem}.{kind}.gen"), alg)[1]
+    for stem, alg in _ALGEBRAS.items()
+    for kind in ("proj", "all")
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _generator_summands(key):
+    gen = _GENERATORS[key]
+    p = gen.module.algebra.p
+    reps = [rep for rep, _ in decompose(gen.module).pairs]
+    # each leaf was certified indecomposable by an exhaustive search
+    assert all(p ** len(hom_space(r, r)) <= ENUM_LIMIT for r in reps)
+    return reps
+
+
+def _reference_in_add(m, key) -> bool:
+    reps = _generator_summands(key)
+    return all(
+        any(modules_isomorphic(part, rep) is not None for rep in reps)
+        for part, _ in decompose(m).pairs
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    stem=st.sampled_from(_STEMS),
+    kind=st.sampled_from(("proj", "all")),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    max_dim=st.integers(min_value=1, max_value=3),
+)
+def test_in_add_agrees_with_decomposition_reference(stem, kind, seed, max_dim):
+    alg = _ALGEBRAS[stem]
+    gen = _GENERATORS[(stem, kind)]
+    m = random_module(alg, np.random.default_rng(seed), max_dim=max_dim)
+    assume(alg.p ** len(hom_space(m, m)) <= ENUM_LIMIT)
+    assume(alg.p ** len(hom_space(m, gen.module)) <= ENUM_LIMIT)
+    assert in_add(m, gen) == _reference_in_add(m, (stem, kind))
+
+
+@pytest.fixture(scope="module")
+def a4_f3():
+    _, a4 = load_algebra_file(str(FIXTURES / "lambda4.alg"))
+    return load_algebra(dataclasses.replace(a4.presentation, p=3))
+
+
+def test_in_add_exact_beyond_enumeration_limit(a4_f3):
+    # Over F_3 both endomorphism spaces have 3^13 elements, far past
+    # ENUM_LIMIT: a Fitting search would fall back to seeded trials.
+    gen = make_generator(projective_generator(a4_f3))
+    p1 = indecomposable_projective(a4_f3, "1")
+    p2 = indecomposable_projective(a4_f3, "2")
+    s2 = simple_module(a4_f3, "2")
+    member, _, _ = direct_sum(a4_f3, [p1, p1, p1, p2])
+    other, _, _ = direct_sum(a4_f3, [s2, p1, p1, p1])
+    for x in (member, other):
+        assert 3 ** len(hom_space(x, x)) > ENUM_LIMIT
+    assert in_add(member, gen) is True
+    assert in_add(other, gen) is False
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +273,7 @@ def test_hereditary_syzygies_projective(a2, gen_proj_a2):
             dims,
             (Matrix(2, np.array(entries, dtype=np.int64).reshape(rows, cols)),),
         )
-        assert in_add(syzygy(m, 1), gen_proj_a2).ok
+        assert in_add(syzygy(m, 1), gen_proj_a2)
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +309,7 @@ def test_xdim_zero_iff_in_add(a2, gen_proj_a2):
             (Matrix(2, np.array(entries, dtype=np.int64).reshape(dims[1], dims[0])),),
         )
         report = xdim(m, gen_proj_a2)
-        assert (report.value == 0) == in_add(m, gen_proj_a2).ok
+        assert (report.value == 0) == in_add(m, gen_proj_a2)
 
 
 def test_xdim_exceeds_cap_is_value(dual, gen_proj_dual):

@@ -163,7 +163,6 @@ def test_verifier_rejects_wrong_leaf_module(a2, gen_a2):
         bad_subject,
         (Piece("stalk", s1, 0),),
         ChainMap.identity(bad_subject),
-        (),
         1,
     )
     tampered = Branch(
@@ -210,7 +209,6 @@ def test_verifier_names_failing_node(a2, gen_a2):
         node.ses.sub,
         (Piece("stalk", s1, 0),),
         ChainMap.zero(node.ses.sub, stalk(s1, 0)),
-        (),
         1,
     )
     tampered = Branch(
@@ -296,25 +294,6 @@ def test_euler_characteristic_through_towers(a3, gen_a3):
             assert _euler(y, v) == _euler(x, v) + _euler(z, v)
 
 
-def test_verifier_ignores_builder_verdicts(a2, gen_a2):
-    # strip all builder-attached add-M verdicts; outcome must not change
-    def strip(node):
-        if isinstance(node, Leaf):
-            return Leaf(node.subject, node.pieces, node.presentation, (), node.level)
-        return Branch(
-            node.subject,
-            node.ses,
-            node.link,
-            node.link_kind,
-            strip(node.sub),
-            strip(node.rest),
-            node.level,
-        )
-
-    node = build_split_witness(stalk(simple_module(a2, "1"), 0), gen_a2)
-    assert verify_certificate(strip(node), gen_a2).accepted
-
-
 def test_builders_handle_support_gaps(a3, gen_a3):
     # a complex with an internal zero term: S2 in degree 2, zero in degree 1,
     # S3 in degree 0, zero differentials
@@ -373,7 +352,7 @@ def test_verifier_accepts_oracle_built_formal_leaf(point):
             for n, (h, blockm) in comps.items()
         }
         pres = ChainMap(c, target, chain_comps)
-        leaf = Leaf(c, tuple(pieces), pres, (), 0 if target.is_zero() else 1)
+        leaf = Leaf(c, tuple(pieces), pres, 0 if target.is_zero() else 1)
         assert verify_certificate(leaf, gen).accepted
         assert leaf.level <= 1
 

@@ -8,13 +8,14 @@ are kept deliberately independent of the library implementation.
 from __future__ import annotations
 
 import itertools
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from levelcert.linalg import Matrix, hstack, inverse, kernel_basis, rank, rref, solve
+from levelcert.linalg import MAX_MODULUS, Matrix, hstack, inverse, kernel_basis, rank, rref, solve
 
 
 def naive_rref(rows: list[list[int]], p: int) -> tuple[list[list[int]], int, list[int]]:
@@ -133,6 +134,21 @@ def test_modulus_mismatch_rejected():
 def test_nonprime_modulus_rejected():
     with pytest.raises(ValueError):
         Matrix.zeros(1, 1, 4)
+
+
+@pytest.mark.parametrize("p", [2**31 - 1, 2**61 - 1])
+def test_large_modulus_rejected_quickly(p):
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError, match="too large"):
+        Matrix.zeros(1, 1, p)
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_largest_modulus_products_are_exact():
+    p = 1048573  # the largest prime below MAX_MODULUS = 2^20
+    assert p < MAX_MODULUS
+    m = Matrix(p, np.full((3, 3), p - 1, dtype=np.int64))
+    assert (m @ m).array.tolist() == [[3, 3, 3]] * 3
 
 
 def test_zero_sized_matrices_are_legal():
