@@ -101,7 +101,7 @@ class Path:
 class Algebra:
     """A loaded path algebra with explicit basis and multiplication table."""
 
-    def __init__(self, presentation, basis, mult, nf_tables):
+    def __init__(self, presentation, basis, mult):
         self.presentation = presentation
         self.p = presentation.p
         self.vertices = presentation.vertices
@@ -111,17 +111,10 @@ class Algebra:
         self.basis: tuple[Path, ...] = basis
         # mult[(i, j)] = tuple of (basis index, coeff) for basis[i] * basis[j]
         self.mult: dict[tuple[int, int], tuple[tuple[int, int], ...]] = mult
-        self._nf = nf_tables
 
     @property
     def dim(self) -> int:
         return len(self.basis)
-
-    def trivial_path_index(self, v: str) -> int:
-        for i, b in enumerate(self.basis):
-            if b.length == 0 and b.source == v:
-                return i
-        raise AlgebraError(f"no trivial path at vertex {v!r}")
 
     def basis_from(self, v: str) -> list[int]:
         return [i for i, b in enumerate(self.basis) if b.source == v]
@@ -315,9 +308,7 @@ def load_algebra(pres: Presentation) -> Algebra:
             if combo:
                 mult[(i, j)] = tuple(sorted(combo.items()))
 
-    alg = Algebra(pres, tuple(basis), mult, nf_tables)
-    alg._normal_form = normal_form
-    return alg
+    return Algebra(pres, tuple(basis), mult)
 
 
 # ---------------------------------------------------------------------------
@@ -403,7 +394,6 @@ class Module:
 
 def path_action(module: Module, arrow_indices: tuple[int, ...]) -> Matrix:
     """Action of a composable arrow sequence, applied left to right."""
-    alg = module.algebra
     if not arrow_indices:
         raise AlgebraError("path_action needs at least one arrow")
     m = module.actions[arrow_indices[0]]
@@ -516,8 +506,41 @@ class ModuleMap:
         return f"ModuleMap({self.source.dims} -> {self.target.dims})"
 
 
-def _vec_index(offsets, vertex, i, j, cols):
-    return offsets[vertex] + i * cols + j
+def _map_layout(a: Module, b: Module) -> tuple[list[int], list[int]]:
+    """Offsets and sizes of the vertex blocks of a map a -> b flattened into
+    one vector of unknowns (vertices in algebra order, blocks row-major)."""
+    sizes = [db * da for da, db in zip(a.dims, b.dims)]
+    offsets = [0] * len(sizes)
+    for v in range(1, len(sizes)):
+        offsets[v] = offsets[v - 1] + sizes[v - 1]
+    return offsets, sizes
+
+
+def _intertwining_rows(a: Module, b: Module, offsets, sizes) -> list[np.ndarray]:
+    """One band of equations per arrow making the unknown blocks x_v of a map
+    a -> b intertwine: b.act(arrow) @ x_source - x_target @ a.act(arrow) = 0,
+    vectorized row-major by vec(P X) = (P (x) I) vec X and
+    vec(X Q) = (I (x) Q^T) vec X."""
+    alg = a.algebra
+    nvars = sum(sizes)
+    rows = []
+    for ai, arrow in enumerate(alg.arrows):
+        sv = alg.vertex_index[arrow.source]
+        tv = alg.vertex_index[arrow.target]
+        n_eq = b.dims[tv] * a.dims[sv]
+        if n_eq == 0:
+            continue
+        block = np.zeros((n_eq, nvars), dtype=np.int64)
+        if sizes[sv]:
+            block[:, offsets[sv] : offsets[sv] + sizes[sv]] += np.kron(
+                b.actions[ai].array, np.eye(a.dims[sv], dtype=np.int64)
+            )
+        if sizes[tv]:
+            block[:, offsets[tv] : offsets[tv] + sizes[tv]] -= np.kron(
+                np.eye(b.dims[tv], dtype=np.int64), a.actions[ai].array.T
+            )
+        rows.append(block % alg.p)
+    return rows
 
 
 def hom_space(a: Module, b: Module) -> tuple[ModuleMap, ...]:
@@ -530,33 +553,11 @@ def hom_space(a: Module, b: Module) -> tuple[ModuleMap, ...]:
     """
     if a.algebra != b.algebra:
         raise AlgebraError("hom_space needs a common algebra")
-    alg = a.algebra
-    p = alg.p
-    nvert = len(alg.vertices)
-    sizes = [b.dims[v] * a.dims[v] for v in range(nvert)]
-    offsets = [0] * nvert
-    for v in range(1, nvert):
-        offsets[v] = offsets[v - 1] + sizes[v - 1]
+    p = a.algebra.p
+    nvert = len(a.dims)
+    offsets, sizes = _map_layout(a, b)
     nvars = sum(sizes)
-    rows = []
-    for ai, arrow in enumerate(alg.arrows):
-        sv = alg.vertex_index[arrow.source]
-        tv = alg.vertex_index[arrow.target]
-        # b.act(a) @ f_sv - f_tv @ a.act(a) = 0, vectorized row-major:
-        # vec(P X) = (P (x) I) vec X and vec(X Q) = (I (x) Q^T) vec X.
-        n_eq = b.dims[tv] * a.dims[sv]
-        if n_eq == 0:
-            continue
-        block = np.zeros((n_eq, nvars), dtype=np.int64)
-        if sizes[sv]:
-            m1 = np.kron(b.actions[ai].array, np.eye(a.dims[sv], dtype=np.int64))
-            block[:, offsets[sv] : offsets[sv] + sizes[sv]] += m1
-        if sizes[tv]:
-            m2 = np.kron(
-                np.eye(b.dims[tv], dtype=np.int64), a.actions[ai].array.T
-            )
-            block[:, offsets[tv] : offsets[tv] + sizes[tv]] -= m2
-        rows.append(block % p)
+    rows = _intertwining_rows(a, b, offsets, sizes)
     if rows:
         system = Matrix(p, np.vstack(rows))
     else:
@@ -834,14 +835,10 @@ def solve_left_composition(through: ModuleMap, rhs: ModuleMap) -> ModuleMap | No
     """
     if rhs.target != through.target:
         raise AlgebraError("solve_left_composition endpoint mismatch")
-    alg = through.source.algebra
-    p = alg.p
+    p = through.source.algebra.p
     src, mid = rhs.source, through.source
-    nvert = len(alg.vertices)
-    sizes = [mid.dims[v] * src.dims[v] for v in range(nvert)]
-    offsets = [0] * nvert
-    for v in range(1, nvert):
-        offsets[v] = offsets[v - 1] + sizes[v - 1]
+    nvert = len(src.dims)
+    offsets, sizes = _map_layout(src, mid)
     nvars = sum(sizes)
     rows = []
     rhs_entries = []
@@ -857,24 +854,10 @@ def solve_left_composition(through: ModuleMap, rhs: ModuleMap) -> ModuleMap | No
             )
         rows.append(block % p)
         rhs_entries.append(rhs.blocks[v].array.reshape(-1))
-    # intertwining: mid.act(a) @ x_sv - x_tv @ src.act(a) = 0
-    for ai, arrow in enumerate(alg.arrows):
-        sv = alg.vertex_index[arrow.source]
-        tv = alg.vertex_index[arrow.target]
-        n_eq = mid.dims[tv] * src.dims[sv]
-        if n_eq == 0:
-            continue
-        block = np.zeros((n_eq, nvars), dtype=np.int64)
-        if sizes[sv]:
-            block[:, offsets[sv] : offsets[sv] + sizes[sv]] += np.kron(
-                mid.actions[ai].array, np.eye(src.dims[sv], dtype=np.int64)
-            )
-        if sizes[tv]:
-            block[:, offsets[tv] : offsets[tv] + sizes[tv]] -= np.kron(
-                np.eye(mid.dims[tv], dtype=np.int64), src.actions[ai].array.T
-            )
-        rows.append(block % p)
-        rhs_entries.append(np.zeros(n_eq, dtype=np.int64))
+    # intertwining: x is a module map src -> mid
+    for band in _intertwining_rows(src, mid, offsets, sizes):
+        rows.append(band)
+        rhs_entries.append(np.zeros(band.shape[0], dtype=np.int64))
     if rows:
         system = Matrix(p, np.vstack(rows))
         b = Matrix(p, np.concatenate(rhs_entries).reshape(-1, 1))

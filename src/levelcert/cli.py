@@ -93,8 +93,8 @@ def cmd_check(args) -> int:
 def cmd_xdim(args) -> int:
     _, alg = load_algebra_file(args.algebra)
     _, m = load_module_file(args.module, alg)
-    _, gen = load_generator_file(args.generator, alg, args.seed)
-    report = xdim(m, gen, args.cap, args.seed)
+    _, gen = load_generator_file(args.generator, alg)
+    report = xdim(m, gen, args.cap)
     if args.json:
         print(
             json.dumps(
@@ -148,7 +148,7 @@ def cmd_syzygy(args) -> int:
 def cmd_witness(args) -> int:
     alg_name, alg = load_algebra_file(args.algebra)
     _, cplx = load_complex_file(args.complex, alg)
-    gen_name, gen = load_generator_file(args.generator, alg, args.seed)
+    gen_name, gen = load_generator_file(args.generator, alg)
     if args.mode == "main":
         if args.d is None or args.d < 2:
             print(
@@ -157,10 +157,10 @@ def cmd_witness(args) -> int:
                 file=sys.stderr,
             )
             return EXIT_USAGE
-        node = build_resolution_witness(cplx, gen, args.d, args.cap, args.seed)
+        node = build_resolution_witness(cplx, gen, args.d, args.cap)
     else:
-        node = build_split_witness(cplx, gen, args.cap, args.seed)
-    verdict = verify_certificate(node, gen, args.seed)
+        node = build_split_witness(cplx, gen, args.cap)
+    verdict = verify_certificate(node, gen)
     if not verdict.accepted:
         print(f"internal verification failed at {verdict.path}: {verdict.reason}", file=sys.stderr)
         return EXIT_REJECT
@@ -181,14 +181,14 @@ def cmd_verify(args) -> int:
     with open(args.certificate) as fh:
         text = fh.read()
     try:
-        alg, gen, node, seed = decode_certificate(text)
+        _, gen, node, _ = decode_certificate(text)
     except CertificateDecodeError as exc:
         if args.json:
             print(json.dumps({"accepted": False, "path": exc.path, "reason": exc.reason}))
         else:
             print(f"reject: {exc.path}: {exc.reason}")
         return EXIT_REJECT
-    verdict = verify_certificate(node, gen, args.seed if args.seed is not None else seed)
+    verdict = verify_certificate(node, gen)
     if args.json:
         print(
             json.dumps(
@@ -230,7 +230,7 @@ def cmd_bound(args) -> int:
 
 def cmd_semires_check(args) -> int:
     _, alg = load_algebra_file(args.algebra)
-    _, gen = load_generator_file(args.generator, alg, args.seed)
+    _, gen = load_generator_file(args.generator, alg)
     samples = []
     for path in args.samples:
         _, m = load_module_file(path, alg)
@@ -242,7 +242,7 @@ def cmd_semires_check(args) -> int:
     if not samples:
         print("error: no samples given (pass module files or --random N)", file=sys.stderr)
         return EXIT_USAGE
-    report = check_semi_resolving_samples(gen, samples, args.cap, args.seed)
+    report = check_semi_resolving_samples(gen, samples, args.cap)
     if args.json:
         print(
             json.dumps(
@@ -272,9 +272,6 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, cap=True):
-        p.add_argument(
-            "--seed", type=int, default=0, help="seed for random samples (recorded in certificates)"
-        )
         if cap:
             p.add_argument("--cap", type=int, default=DEFAULT_CAP, help="resolution length cap")
         p.add_argument("--json", action="store_true", help="emit machine-readable JSON")
@@ -307,12 +304,12 @@ def build_parser() -> _Parser:
                    help="han: split route (level <= d+2); main: resolution route (level <= d+1, d >= 2)")
     p.add_argument("--d", type=int, default=None, help="dimension datum for --mode main")
     p.add_argument("--out", help="certificate file to write")
+    p.add_argument("--seed", type=int, default=0, help="written into the certificate's seed line")
     common(p)
     p.set_defaults(func=cmd_witness)
 
     p = sub.add_parser("verify", help="verify a certificate file")
     p.add_argument("certificate")
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_verify)
 
@@ -327,6 +324,7 @@ def build_parser() -> _Parser:
     p.add_argument("generator")
     p.add_argument("samples", nargs="*", help="module files to test")
     p.add_argument("--random", type=int, default=0, help="additionally test N seeded random modules")
+    p.add_argument("--seed", type=int, default=0, help="seed for the --random samples")
     common(p)
     p.set_defaults(func=cmd_semires_check)
     return parser

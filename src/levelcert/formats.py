@@ -16,10 +16,25 @@ byte for byte.
 
 Paths in relations are written with dots and compose left to right:
 "a.b" means first a, then b.
+
+Each object has one writer and one reader, shared by every format that
+embeds it: a module body (dim lines and arrow matrices) appears in module
+files, generator files and the term and piece blocks of certificates; a
+complex (support line and diff blocks) appears in complex files and in
+certificates, which differ only in how they list their terms.
+
+Errors follow one rule.  A syntax fault (a missing or malformed field or
+argument, an unknown label, a negative dimension, a matrix entry outside
+[0, p)) raises FormatError with a line number.  An object that parses but
+breaks its shapes, relations or squares raises AlgebraError.  Decoders of
+input files, and of a certificate's algebra and generator blocks, report
+it as a FormatError at the object's block; in a certificate's tree it
+becomes a CertificateDecodeError naming the node path.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -78,6 +93,24 @@ class CertificateDecodeError(ValueError):
         self.path = path
         self.reason = reason
         super().__init__(f"{path}: {reason}")
+
+
+@contextmanager
+def _in_file(line: int):
+    """Report an input file's broken object as a FormatError at line."""
+    try:
+        yield
+    except AlgebraError as exc:
+        raise FormatError(str(exc), line) from exc
+
+
+@contextmanager
+def _in_node(path: str):
+    """Report a certificate's broken object as a rejection of node path."""
+    try:
+        yield
+    except AlgebraError as exc:
+        raise CertificateDecodeError(path, str(exc)) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -182,8 +215,18 @@ def _int(values: list[str], index: int, line: int) -> int:
         raise FormatError("expected an integer", line) from None
 
 
+def _degree(block: Block) -> int:
+    """The degree of a term, diff, component or piece block: its last
+    argument (a piece block's first argument is its kind)."""
+    arity = 2 if block.kind == "piece" else 1
+    if len(block.args) != arity:
+        what = "a kind and a degree" if arity == 2 else "a degree"
+        raise FormatError(f"{block.kind} block takes {what}", block.line)
+    return _int(block.args, arity - 1, block.line)
+
+
 # ---------------------------------------------------------------------------
-# Matrices
+# Matrices and module maps
 
 
 def _write_matrix(w: _Writer, label: str, m: Matrix):
@@ -197,22 +240,58 @@ def _read_matrix(block: Block, p: int) -> tuple[str, Matrix]:
     if len(block.args) != 3:
         raise FormatError("matrix needs a label and a shape", block.line)
     label = block.args[0]
-    try:
-        rows, cols = int(block.args[1]), int(block.args[2])
-    except ValueError:
-        raise FormatError("matrix shape must be integers", block.line) from None
-    data = np.zeros((rows, cols), dtype=np.int64)
+    rows, cols = _int(block.args, 1, block.line), _int(block.args, 2, block.line)
+    if rows < 0 or cols < 0:
+        raise FormatError("matrix shape must be nonnegative", block.line)
     row_fields = [f for f in block.fields if f[0] == "row"]
     if len(row_fields) != rows:
         raise FormatError(
             f"matrix declares {rows} rows but lists {len(row_fields)}", block.line
         )
-    for i, (_, values, line) in enumerate(row_fields):
+    data = []
+    for _, values, line in row_fields:
         if len(values) != cols:
             raise FormatError(f"row has {len(values)} entries, expected {cols}", line)
-        for j, v in enumerate(values):
-            data[i, j] = _int(values, j, line)
-    return label, Matrix(p, data)
+        try:
+            row = [int(v) for v in values]
+        except ValueError:
+            raise FormatError("expected an integer", line) from None
+        if any(not 0 <= v < p for v in row):
+            raise FormatError(f"matrix entries must be residues in [0, {p})", line)
+        data.append(row)
+    return label, Matrix(p, np.array(data, dtype=np.int64).reshape(rows, cols))
+
+
+def _read_matrices(block: Block, p: int, labels, shapes, what: str) -> list[Matrix]:
+    """One matrix per label (a vertex or arrow name, per what), in order,
+    from the block's matrix children; a label without one is zero."""
+    mats = {}
+    for child in block.children_of("matrix"):
+        label, m = _read_matrix(child, p)
+        if label not in labels:
+            raise FormatError(f"unknown {what} {label!r}", child.line)
+        if label in mats:
+            raise FormatError(f"duplicate matrix {label!r}", child.line)
+        mats[label] = m
+    return [
+        mats[label] if label in mats else Matrix.zeros(rows, cols, p)
+        for label, (rows, cols) in zip(labels, shapes)
+    ]
+
+
+def _write_map(w: _Writer, kind: str, degree: int, f: ModuleMap):
+    """A module map as one matrix per vertex (diff and component blocks)."""
+    w.begin(kind, degree)
+    alg = f.source.algebra
+    for v, blockm in zip(alg.vertices, f.blocks):
+        _write_matrix(w, v, blockm)
+    w.end(kind)
+
+
+def _read_map(block: Block, alg: Algebra, source: Module, target: Module) -> ModuleMap:
+    shapes = zip(target.dims, source.dims)
+    blocks = _read_matrices(block, alg.p, alg.vertex_index, shapes, "vertex")
+    return ModuleMap(source, target, blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -281,10 +360,8 @@ def decode_algebra(block: Block) -> tuple[str, Algebra]:
             terms.append(RelationTerm(coeff, path))
         relations.append(Relation(tuple(terms)))
     pres = Presentation(p, tuple(vertices), tuple(arrows), tuple(relations), cap)
-    try:
+    with _in_file(block.line):
         return name, load_algebra(pres)
-    except AlgebraError as exc:
-        raise FormatError(str(exc), block.line) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -298,19 +375,23 @@ def render_module(name: str, m: Module) -> str:
 
 
 def _write_module(w: _Writer, name: str, m: Module):
-    alg = m.algebra
     w.begin("module", name)
+    _write_module_body(w, m)
+    w.end("module")
+
+
+def _write_module_body(w: _Writer, m: Module):
+    """One dim line per vertex and one matrix per arrow."""
+    alg = m.algebra
     for v, d in zip(alg.vertices, m.dims):
         w.put("dim", v, d)
     for a, act in zip(alg.arrows, m.actions):
         _write_matrix(w, a.name, act)
-    w.end("module")
 
 
-def decode_module(block: Block, alg: Algebra) -> tuple[str, Module]:
-    if block.kind != "module":
-        raise FormatError(f"expected a module block, got {block.kind!r}", block.line)
-    name = block.args[0] if block.args else "module"
+def _read_module_body(block: Block, alg: Algebra) -> Module:
+    """The module of a module, term or piece block.  Every vertex needs one
+    dim line; an arrow without a matrix acts by zero."""
     dims = {}
     for fname, values, line in block.fields:
         if fname != "dim":
@@ -319,33 +400,82 @@ def decode_module(block: Block, alg: Algebra) -> tuple[str, Module]:
             raise FormatError("dim takes a vertex and a count", line)
         if values[0] not in alg.vertex_index:
             raise FormatError(f"unknown vertex {values[0]!r}", line)
-        dims[values[0]] = _int(values, 1, line)
+        if values[0] in dims:
+            raise FormatError(f"duplicate dimension for vertex {values[0]!r}", line)
+        d = _int(values, 1, line)
+        if d < 0:
+            raise FormatError(f"negative dimension {d}", line)
+        dims[values[0]] = d
     for v in alg.vertices:
         if v not in dims:
             raise FormatError(f"missing dimension for vertex {v!r}", block.line)
-    mats = {}
-    for child in block.children_of("matrix"):
-        label, m = _read_matrix(child, alg.p)
-        if label not in alg.arrow_index:
-            raise FormatError(f"unknown arrow {label!r}", child.line)
-        mats[label] = m
-    dim_list = [dims[v] for v in alg.vertices]
-    actions = []
-    for a in alg.arrows:
-        sv = alg.vertex_index[a.source]
-        tv = alg.vertex_index[a.target]
-        if a.name in mats:
-            actions.append(mats[a.name])
-        else:
-            actions.append(Matrix.zeros(dim_list[tv], dim_list[sv], alg.p))
-    try:
-        return name, Module(alg, dim_list, actions)
-    except AlgebraError as exc:
-        raise FormatError(str(exc), block.line) from exc
+    shapes = [(dims[a.target], dims[a.source]) for a in alg.arrows]
+    actions = _read_matrices(block, alg.p, alg.arrow_index, shapes, "arrow")
+    return Module(alg, [dims[v] for v in alg.vertices], actions)
+
+
+def decode_module(block: Block, alg: Algebra) -> tuple[str, Module]:
+    if block.kind != "module":
+        raise FormatError(f"expected a module block, got {block.kind!r}", block.line)
+    name = block.args[0] if block.args else "module"
+    with _in_file(block.line):
+        return name, _read_module_body(block, alg)
 
 
 # ---------------------------------------------------------------------------
-# Complexes (named files with a module namespace)
+# Complexes: complex files name their terms, certificates inline them
+
+
+def _write_complex(w: _Writer, kind: str, args: tuple, c: Complex, write_term):
+    w.begin(kind, *args)
+    if not c.is_zero():
+        w.put("support", c.lo, c.hi)
+        for n in c.support:
+            write_term(n, c.term(n))
+        for n in range(c.lo + 1, c.hi + 1):
+            _write_map(w, "diff", n, c.diff(n))
+    w.end(kind)
+
+
+def _read_complex(block: Block, alg: Algebra, terms: dict[int, Module]) -> Complex:
+    """The complex of a block whose terms the caller has gathered: reads the
+    support line and the diff blocks.  Every degree of the support needs a
+    term, so the work done is bounded by the input's length; a missing diff
+    is zero."""
+    diff_blocks = {}
+    for b in block.children_of("diff"):
+        n = _degree(b)
+        if n in diff_blocks:
+            raise FormatError(f"duplicate diff at degree {n}", b.line)
+        diff_blocks[n] = b
+    support = block.optional_field("support")
+    if support is None:
+        if terms or diff_blocks:
+            raise FormatError("terms or diffs without a support line", block.line)
+        return Complex.zero(alg)
+    if len(support) != 2:
+        raise FormatError("support takes the lowest and the highest degree", block.line)
+    lo, hi = _int(support, 0, block.line), _int(support, 1, block.line)
+    if hi < lo:
+        raise FormatError(f"empty support {lo} {hi}", block.line)
+    if any(not lo <= n <= hi for n in terms) or any(
+        not lo < n <= hi for n in diff_blocks
+    ):
+        raise FormatError(f"term or diff degree outside the support {lo} {hi}", block.line)
+    if len(terms) != hi - lo + 1:
+        raise FormatError(
+            f"support {lo} {hi} needs a term at each degree, found {len(terms)}", block.line
+        )
+    term_list = [terms[n] for n in range(lo, hi + 1)]
+    diffs = []
+    for n in range(lo + 1, hi + 1):
+        src = term_list[n - lo]
+        tgt = term_list[n - 1 - lo]
+        if n in diff_blocks:
+            diffs.append(_read_map(diff_blocks[n], alg, src, tgt))
+        else:
+            diffs.append(ModuleMap.zero(src, tgt))
+    return Complex(alg, lo, term_list, diffs)
 
 
 def render_complex_file(
@@ -356,42 +486,8 @@ def render_complex_file(
     names = module_names or {n: f"t{n}" for n in c.support}
     for n in c.support:
         _write_module(w, names[n], c.term(n))
-    w.begin("complex", name)
-    if not c.is_zero():
-        w.put("support", c.lo, c.hi)
-        for n in c.support:
-            w.put("term", n, names[n])
-        for n in range(c.lo + 1, c.hi + 1):
-            _write_chain_component(w, "diff", n, c.diff(n))
-    w.end("complex")
+    _write_complex(w, "complex", (name,), c, lambda n, t: w.put("term", n, names[n]))
     return w.text()
-
-
-def _write_chain_component(w: _Writer, kind: str, degree: int, f: ModuleMap):
-    w.begin(kind, degree)
-    alg = f.source.algebra
-    for v, blockm in zip(alg.vertices, f.blocks):
-        _write_matrix(w, v, blockm)
-    w.end(kind)
-
-
-def _read_vertex_blocks(block: Block, alg: Algebra, source: Module, target: Module):
-    mats = {}
-    for child in block.children_of("matrix"):
-        label, m = _read_matrix(child, alg.p)
-        if label not in alg.vertex_index:
-            raise FormatError(f"unknown vertex {label!r}", child.line)
-        mats[label] = m
-    blocks = []
-    for i, v in enumerate(alg.vertices):
-        if v in mats:
-            blocks.append(mats[v])
-        else:
-            blocks.append(Matrix.zeros(target.dims[i], source.dims[i], alg.p))
-    try:
-        return ModuleMap(source, target, blocks)
-    except AlgebraError as exc:
-        raise FormatError(str(exc), block.line) from exc
 
 
 def decode_complex_file(blocks: list[Block], alg: Algebra) -> tuple[str, Complex]:
@@ -405,46 +501,24 @@ def decode_complex_file(blocks: list[Block], alg: Algebra) -> tuple[str, Complex
             cplx_block = block
     if cplx_block is None:
         raise FormatError("no complex block found")
-    return _decode_complex_block(cplx_block, alg, namespace)
-
-
-def _decode_complex_block(
-    block: Block, alg: Algebra, namespace: dict[str, Module]
-) -> tuple[str, Complex]:
-    name = block.args[0] if block.args else "complex"
-    support = block.optional_field("support")
-    if support is None:
-        return name, Complex.zero(alg)
-    lo = _int(support, 0, block.line)
-    hi = _int(support, 1, block.line)
     terms = {}
-    for fname, values, line in block.fields:
+    for fname, values, line in cplx_block.fields:
         if fname != "term":
             continue
+        if len(values) != 2:
+            raise FormatError("term takes a degree and a module name", line)
         degree = _int(values, 0, line)
-        mod_name = values[1]
-        if mod_name == "zero":
+        if degree in terms:
+            raise FormatError(f"duplicate term at degree {degree}", line)
+        if values[1] == "zero":
             terms[degree] = Module.zero(alg)
-        elif mod_name in namespace:
-            terms[degree] = namespace[mod_name]
+        elif values[1] in namespace:
+            terms[degree] = namespace[values[1]]
         else:
-            raise FormatError(f"unknown module {mod_name!r}", line)
-    term_list = []
-    for n in range(lo, hi + 1):
-        term_list.append(terms.get(n, Module.zero(alg)))
-    diff_blocks = {int(b.args[0]): b for b in block.children_of("diff")}
-    diffs = []
-    for n in range(lo + 1, hi + 1):
-        src = term_list[n - lo]
-        tgt = term_list[n - 1 - lo]
-        if n in diff_blocks:
-            diffs.append(_read_vertex_blocks(diff_blocks[n], alg, src, tgt))
-        else:
-            diffs.append(ModuleMap.zero(src, tgt))
-    try:
-        return name, Complex(alg, lo, term_list, diffs)
-    except AlgebraError as exc:
-        raise FormatError(str(exc), block.line) from exc
+            raise FormatError(f"unknown module {values[1]!r}", line)
+    name = cplx_block.args[0] if cplx_block.args else "complex"
+    with _in_file(cplx_block.line):
+        return name, _read_complex(cplx_block, alg, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -464,7 +538,7 @@ def _write_generator(w: _Writer, name: str, gen: Generator):
     w.end("generator")
 
 
-def decode_generator(block: Block, alg: Algebra, seed: int = 0) -> tuple[str, Generator]:
+def decode_generator(block: Block, alg: Algebra) -> tuple[str, Generator]:
     if block.kind != "generator":
         raise FormatError(f"expected a generator block, got {block.kind!r}", block.line)
     name = block.args[0] if block.args else "generator"
@@ -490,10 +564,8 @@ def decode_generator(block: Block, alg: Algebra, seed: int = 0) -> tuple[str, Ge
             block.line,
         )
     total, _, _ = direct_sum(alg, summands)
-    try:
-        return name, make_generator(total, flag, seed)
-    except AlgebraError as exc:
-        raise FormatError(str(exc), block.line) from exc
+    with _in_file(block.line):
+        return name, make_generator(total, flag)
 
 
 # ---------------------------------------------------------------------------
@@ -501,127 +573,53 @@ def decode_generator(block: Block, alg: Algebra, seed: int = 0) -> tuple[str, Ge
 
 
 def _write_complex_inline(w: _Writer, kind: str, c: Complex):
-    w.begin(kind)
-    if not c.is_zero():
-        w.put("support", c.lo, c.hi)
-        for n in c.support:
-            w.begin("term", n)
-            t = c.term(n)
-            for v, d in zip(c.algebra.vertices, t.dims):
-                w.put("dim", v, d)
-            for a, act in zip(c.algebra.arrows, t.actions):
-                _write_matrix(w, a.name, act)
-            w.end("term")
-        for n in range(c.lo + 1, c.hi + 1):
-            _write_chain_component(w, "diff", n, c.diff(n))
-    w.end(kind)
+    def write_term(n: int, t: Module):
+        w.begin("term", n)
+        _write_module_body(w, t)
+        w.end("term")
+
+    _write_complex(w, kind, (), c, write_term)
 
 
-def _read_complex_inline(block: Block, alg: Algebra, path: str) -> Complex:
-    support = block.optional_field("support")
-    if support is None:
-        return Complex.zero(alg)
-    lo = _int(support, 0, block.line)
-    hi = _int(support, 1, block.line)
+def _read_complex_inline(block: Block, alg: Algebra) -> Complex:
     terms = {}
     for child in block.children_of("term"):
-        degree = int(child.args[0])
-        dims = {}
-        for fname, values, line in child.fields:
-            if fname == "dim":
-                dims[values[0]] = _int(values, 1, line)
-        dim_list = [dims.get(v, 0) for v in alg.vertices]
-        mats = {}
-        for mchild in child.children_of("matrix"):
-            label, m = _read_matrix(mchild, alg.p)
-            mats[label] = m
-        actions = []
-        for a in alg.arrows:
-            sv = alg.vertex_index[a.source]
-            tv = alg.vertex_index[a.target]
-            actions.append(
-                mats.get(a.name, Matrix.zeros(dim_list[tv], dim_list[sv], alg.p))
-            )
-        try:
-            terms[degree] = Module(alg, dim_list, actions)
-        except AlgebraError as exc:
-            raise CertificateDecodeError(path, str(exc)) from exc
-    term_list = [terms.get(n, Module.zero(alg)) for n in range(lo, hi + 1)]
-    diff_blocks = {int(b.args[0]): b for b in block.children_of("diff")}
-    diffs = []
-    for n in range(lo + 1, hi + 1):
-        src = term_list[n - lo]
-        tgt = term_list[n - 1 - lo]
-        if n in diff_blocks:
-            try:
-                diffs.append(_read_vertex_blocks(diff_blocks[n], alg, src, tgt))
-            except FormatError as exc:
-                raise CertificateDecodeError(path, str(exc)) from exc
-        else:
-            diffs.append(ModuleMap.zero(src, tgt))
-    try:
-        return Complex(alg, lo, term_list, diffs)
-    except AlgebraError as exc:
-        raise CertificateDecodeError(path, str(exc)) from exc
+        degree = _degree(child)
+        if degree in terms:
+            raise FormatError(f"duplicate term at degree {degree}", child.line)
+        terms[degree] = _read_module_body(child, alg)
+    return _read_complex(block, alg, terms)
 
 
 def _write_chain_map(w: _Writer, kind: str, f: ChainMap):
     w.begin(kind)
     degrees = sorted(set(f.source.support) | set(f.target.support))
     for n in degrees:
-        _write_chain_component(w, "component", n, f.component(n))
+        _write_map(w, "component", n, f.component(n))
     w.end(kind)
 
 
-def _read_chain_map(
-    block: Block, source: Complex, target: Complex, path: str
-) -> ChainMap:
+def _read_chain_map(block: Block, source: Complex, target: Complex) -> ChainMap:
     comps = {}
     for child in block.children_of("component"):
-        degree = int(child.args[0])
-        try:
-            comps[degree] = _read_vertex_blocks(
-                child, source.algebra, source.term(degree), target.term(degree)
-            )
-        except FormatError as exc:
-            raise CertificateDecodeError(path, str(exc)) from exc
-    try:
-        return ChainMap(source, target, comps)
-    except AlgebraError as exc:
-        raise CertificateDecodeError(path, str(exc)) from exc
+        degree = _degree(child)
+        if degree in comps:
+            raise FormatError(f"duplicate component at degree {degree}", child.line)
+        comps[degree] = _read_map(
+            child, source.algebra, source.term(degree), target.term(degree)
+        )
+    return ChainMap(source, target, comps)
 
 
 def _write_piece(w: _Writer, piece: Piece):
     w.begin("piece", piece.kind, piece.degree)
-    t = piece.module
-    for v, d in zip(t.algebra.vertices, t.dims):
-        w.put("dim", v, d)
-    for a, act in zip(t.algebra.arrows, t.actions):
-        _write_matrix(w, a.name, act)
+    _write_module_body(w, piece.module)
     w.end("piece")
 
 
-def _read_piece(block: Block, alg: Algebra, path: str) -> Piece:
-    kind = block.args[0]
-    degree = int(block.args[1])
-    dims = {}
-    for fname, values, line in block.fields:
-        if fname == "dim":
-            dims[values[0]] = _int(values, 1, line)
-    dim_list = [dims.get(v, 0) for v in alg.vertices]
-    mats = {}
-    for mchild in block.children_of("matrix"):
-        label, m = _read_matrix(mchild, alg.p)
-        mats[label] = m
-    actions = []
-    for a in alg.arrows:
-        sv = alg.vertex_index[a.source]
-        tv = alg.vertex_index[a.target]
-        actions.append(mats.get(a.name, Matrix.zeros(dim_list[tv], dim_list[sv], alg.p)))
-    try:
-        return Piece(kind, Module(alg, dim_list, actions), degree)
-    except AlgebraError as exc:
-        raise CertificateDecodeError(path, str(exc)) from exc
+def _read_piece(block: Block, alg: Algebra) -> Piece:
+    degree = _degree(block)
+    return Piece(block.args[0], _read_module_body(block, alg), degree)
 
 
 def _write_node(w: _Writer, node: Node):
@@ -654,35 +652,31 @@ def _write_node(w: _Writer, node: Node):
 def _read_node(block: Block, alg: Algebra, path: str) -> Node:
     if block.kind == "leaf":
         level = _int(block.one_field("level"), 0, block.line)
-        subject = _read_complex_inline(block.child("subject"), alg, path)
-        pieces = tuple(
-            _read_piece(b, alg, path) for b in block.children_of("piece")
-        )
-        target = assemble_pieces(alg, pieces)
-        presentation = _read_chain_map(
-            block.child("presentation"), subject, target, path
-        )
+        with _in_node(path):
+            subject = _read_complex_inline(block.child("subject"), alg)
+            pieces = tuple(_read_piece(b, alg) for b in block.children_of("piece"))
+            target = assemble_pieces(alg, pieces)
+            presentation = _read_chain_map(block.child("presentation"), subject, target)
         return Leaf(subject, pieces, presentation, level)
     if block.kind == "branch":
         level = _int(block.one_field("level"), 0, block.line)
-        kind = block.one_field("kind")[0]
-        subject = _read_complex_inline(block.child("subject"), alg, path)
+        kind_values = block.one_field("kind")
+        if len(kind_values) != 1:
+            raise FormatError("kind takes one link kind", block.line)
+        kind = kind_values[0]
+        with _in_node(path):
+            subject = _read_complex_inline(block.child("subject"), alg)
         ses_block = block.child("ses")
-        sub_c = _read_complex_inline(ses_block.child("sub"), alg, path + ".ses")
-        mid_c = _read_complex_inline(ses_block.child("middle"), alg, path + ".ses")
-        quot_c = _read_complex_inline(ses_block.child("quotient"), alg, path + ".ses")
-        inclusion = _read_chain_map(
-            ses_block.child("inclusion"), sub_c, mid_c, path + ".ses"
-        )
-        projection = _read_chain_map(
-            ses_block.child("projection"), mid_c, quot_c, path + ".ses"
-        )
-        try:
+        with _in_node(path + ".ses"):
+            sub_c = _read_complex_inline(ses_block.child("sub"), alg)
+            mid_c = _read_complex_inline(ses_block.child("middle"), alg)
+            quot_c = _read_complex_inline(ses_block.child("quotient"), alg)
+            inclusion = _read_chain_map(ses_block.child("inclusion"), sub_c, mid_c)
+            projection = _read_chain_map(ses_block.child("projection"), mid_c, quot_c)
             ses = ShortExactSequence(inclusion, projection)
-        except AlgebraError as exc:
-            raise CertificateDecodeError(path + ".ses", str(exc)) from exc
         linked = mid_c if kind == "middle" else quot_c
-        link = _read_chain_map(block.child("link"), linked, subject, path + ".link")
+        with _in_node(path + ".link"):
+            link = _read_chain_map(block.child("link"), linked, subject)
         kids = [
             b for b in block.children if b.kind in ("leaf", "branch")
         ]
@@ -690,10 +684,8 @@ def _read_node(block: Block, alg: Algebra, path: str) -> Node:
             raise CertificateDecodeError(path, "branch needs exactly two children")
         sub = _read_node(kids[0], alg, path + ".sub")
         rest = _read_node(kids[1], alg, path + ".rest")
-        try:
+        with _in_node(path):
             return Branch(subject, ses, link, kind, sub, rest, level)
-        except AlgebraError as exc:
-            raise CertificateDecodeError(path, str(exc)) from exc
     raise CertificateDecodeError(path, f"unknown node kind {block.kind!r}")
 
 
@@ -724,9 +716,9 @@ def decode_certificate(text: str) -> tuple[Algebra, Generator, Node, int]:
     if cert is None:
         raise FormatError("no certificate block found")
     seed_field = cert.optional_field("seed")
-    seed = int(seed_field[0]) if seed_field else 0
+    seed = _int(seed_field, 0, cert.line) if seed_field else 0
     _, alg = decode_algebra(cert.child("algebra"))
-    _, gen = decode_generator(cert.child("generator"), alg, seed)
+    _, gen = decode_generator(cert.child("generator"), alg)
     node_blocks = [b for b in cert.children if b.kind in ("leaf", "branch")]
     if len(node_blocks) != 1:
         raise FormatError("certificate needs exactly one root node", cert.line)
@@ -761,10 +753,10 @@ def load_complex_file(path: str, alg: Algebra) -> tuple[str, Complex]:
         return decode_complex_file(parse_document(fh.read()), alg)
 
 
-def load_generator_file(path: str, alg: Algebra, seed: int = 0) -> tuple[str, Generator]:
+def load_generator_file(path: str, alg: Algebra) -> tuple[str, Generator]:
     with open(path) as fh:
         blocks = parse_document(fh.read())
     for b in blocks:
         if b.kind == "generator":
-            return decode_generator(b, alg, seed)
+            return decode_generator(b, alg)
     raise FormatError("no generator block found")

@@ -13,10 +13,6 @@ ENUM_LIMIT bounds the number of coefficient vectors tried exhaustively;
 above it RANDOM_TRIALS seeded combinations are used, which can in principle
 miss a splitting or an isomorphism.  Nothing on the membership or
 certificate path calls them.
-
-The seed parameters of make_generator, xdim and
-check_semi_resolving_samples no longer influence any result; they are
-accepted so that existing callers keep working.
 """
 
 from __future__ import annotations
@@ -271,9 +267,7 @@ class Generator:
     declared_semi_resolving: bool
 
 
-def make_generator(
-    m: Module, declared_semi_resolving: bool = True, seed: int = 0
-) -> Generator:
+def make_generator(m: Module, declared_semi_resolving: bool = True) -> Generator:
     """Build a generator and verify that every indecomposable projective
     lies in add M; a violation is a hard error."""
     if m.is_zero():
@@ -371,7 +365,7 @@ class XDimReport:
         return self.value is None
 
 
-def xdim(m: Module, gen: Generator, cap: int = DEFAULT_CAP, seed: int = 0) -> XDimReport:
+def xdim(m: Module, gen: Generator, cap: int = DEFAULT_CAP) -> XDimReport:
     """Dimension of m relative to add M via projective-cover kernels.
 
     The trace runs m, K1 = ker(cover(m)), K2, ... and stops at the first
@@ -420,7 +414,6 @@ def check_semi_resolving_samples(
     gen: Generator,
     samples: list[Module],
     cap: int = DEFAULT_CAP,
-    seed: int = 0,
 ) -> SemiResolvingReport:
     """Empirically test the semi-resolving dichotomy on sample modules.
 
@@ -444,13 +437,13 @@ def check_semi_resolving_samples(
                 )
             )
             continue
-        xa = xdim(sample, gen, cap, seed)
+        xa = xdim(sample, gen, cap)
         if xa.exceeded:
             checks.append(
                 SampleCheck(sample, "indeterminate", f"sample exceeds cap {cap}", None, None)
             )
             continue
-        xk = xdim(k, gen, cap, seed)
+        xk = xdim(k, gen, cap)
         if xk.exceeded:
             checks.append(
                 SampleCheck(

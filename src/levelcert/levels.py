@@ -26,8 +26,7 @@ column count is governed by projective resolutions of the boundary and
 homology modules, giving level at most d + 1.
 
 Add-M membership (homological.in_add) is exact, so neither the builders
-nor the verifier depend on a seed; their seed parameters are accepted so
-that existing callers keep working and have no effect.
+nor the verifier depend on a seed.
 """
 
 from __future__ import annotations
@@ -175,8 +174,20 @@ def _cycle_boundary_bounds(a: Complex, gen: Generator, cap: int):
     return tuple(out)
 
 
+def _bounds_at_most(a: Complex, gen: Generator, d: int, cap: int):
+    """The cycle and boundary bounds of a; raises unless all are <= d."""
+    bounds = _cycle_boundary_bounds(a, gen, cap)
+    for cb in bounds:
+        if cb.value is None or cb.value > d:
+            raise WitnessError(
+                f"{cb.kind} at degree {cb.degree} have relative dimension "
+                f"{'beyond the cap' if cb.value is None else cb.value}, not <= {d}"
+            )
+    return bounds
+
+
 def reduction_step(
-    a: Complex, gen: Generator, d: int, cap: int = DEFAULT_CAP, seed: int = 0
+    a: Complex, gen: Generator, d: int, cap: int = DEFAULT_CAP
 ) -> ReductionStep:
     """Cover a by a sum of disks and verify the kernel's data drops below d.
 
@@ -189,13 +200,7 @@ def reduction_step(
     """
     if d < 1:
         raise WitnessError("reduction step needs d >= 1")
-    inputs = _cycle_boundary_bounds(a, gen, cap)
-    for cb in inputs:
-        if cb.value is None or cb.value > d:
-            raise WitnessError(
-                f"{cb.kind} at degree {cb.degree} have relative dimension "
-                f"{'beyond the cap' if cb.value is None else cb.value}, not <= {d}"
-            )
+    inputs = _bounds_at_most(a, gen, d, cap)
     pe = projective_epi(a)
     outputs = _cycle_boundary_bounds(pe.kernel, gen, cap)
     for cb in outputs:
@@ -218,7 +223,7 @@ def _cycle_boundary_split(a: Complex, gen: Generator) -> Branch:
     """The base split 0 -> (cycles, 0) -> a -> (boundaries, 0) -> 0."""
     alg = a.algebra
     z_data = {n: cycles(a, n) for n in a.support}
-    img_data = {n: _image_epi(a, n) for n in a.support}
+    img_data = {n: image(a.diff(n)) for n in a.support}
     k_pieces = [
         Piece("stalk", z_data[n][0], n) for n in a.support if not z_data[n][0].is_zero()
     ]
@@ -249,13 +254,8 @@ def _cycle_boundary_split(a: Complex, gen: Generator) -> Branch:
     )
 
 
-def _image_epi(a: Complex, n: int):
-    """(B_{n-1}, mono into A_{n-1}, epi from A_n): the image data of f_n."""
-    return image(a.diff(n))
-
-
 def build_split_witness(
-    a: Complex, gen: Generator, cap: int = DEFAULT_CAP, seed: int = 0
+    a: Complex, gen: Generator, cap: int = DEFAULT_CAP
 ) -> Node:
     """Certify membership in at most d + 2 layers, d the largest relative
     dimension among the cycle and boundary modules of the complex.
@@ -379,20 +379,10 @@ def _pad_resolution(res: Resolution, length: int) -> Resolution:
     return Resolution(res.subject, tuple(mods), tuple(diffs), res.aug)
 
 
-@dataclass(frozen=True)
-class Horseshoe:
-    """A resolution of the middle of a short exact sequence, assembled from
-    resolutions of the ends; modules are the level-wise direct sums."""
-
-    resolution: Resolution
-    left: Resolution
-    right: Resolution
-
-
 def horseshoe(
     mono: ModuleMap, epi: ModuleMap, left: Resolution, right: Resolution
-) -> Horseshoe:
-    """Combine resolutions of the ends of 0 -> X -> Y -> Q -> 0.
+) -> Resolution:
+    """Resolve Y from resolutions of the ends of 0 -> X -> Y -> Q -> 0.
 
     Level j is X_j + Q_j; the differential is upper block triangular with a
     correction column solved level by level through the left resolution,
@@ -446,7 +436,7 @@ def horseshoe(
         diffs.append(d)
     res = Resolution(subject, tuple(sums), tuple(diffs), aug)
     _assert_resolution_exact(res)
-    return Horseshoe(res, left, right)
+    return res
 
 
 def _assert_resolution_exact(res: Resolution) -> None:
@@ -482,12 +472,12 @@ class _ColumnData:
     length: int
     res_b: dict[int, Resolution]
     res_h: dict[int, Resolution]
-    rows: dict[int, Horseshoe]
+    rows: dict[int, Resolution]
 
 
 def _column_data(a: Complex, cap: int) -> _ColumnData:
     z_data = {n: cycles(a, n) for n in a.support}
-    img_data = {n: _image_epi(a, n) for n in a.support}
+    img_data = {n: image(a.diff(n)) for n in a.support}
     res_b: dict[int, Resolution] = {}
     res_h: dict[int, Resolution] = {}
     h_data: dict[int, tuple[ModuleMap, ModuleMap]] = {}
@@ -504,7 +494,7 @@ def _column_data(a: Complex, cap: int) -> _ColumnData:
     for n in a.support:
         res_b[n] = _pad_resolution(res_b[n], length)
         res_h[n] = _pad_resolution(res_h[n], length)
-    rows: dict[int, Horseshoe] = {}
+    rows: dict[int, Resolution] = {}
     for n in a.support:
         _, z_incl = z_data[n]
         j, h_proj = h_data[n]
@@ -520,7 +510,7 @@ def _column_data(a: Complex, cap: int) -> _ColumnData:
         # module; sharing it is what makes columns commute with rows.
         if right.subject != img:
             raise WitnessError("boundary bookkeeping mismatch (internal error)")
-        rows[n] = horseshoe(z_incl, epi, z_shoe.resolution, right)
+        rows[n] = horseshoe(z_incl, epi, z_shoe, right)
     return _ColumnData(length, res_b, res_h, rows)
 
 
@@ -564,7 +554,7 @@ def _invert_chain_iso(f: ChainMap) -> ChainMap:
 
 
 def build_resolution_witness(
-    a: Complex, gen: Generator, d: int, cap: int = DEFAULT_CAP, seed: int = 0
+    a: Complex, gen: Generator, d: int, cap: int = DEFAULT_CAP
 ) -> Node:
     """Certify membership in at most d + 1 layers, for d >= 2.
 
@@ -584,12 +574,7 @@ def build_resolution_witness(
         )
     if a.is_zero():
         return _zero_leaf(a, gen)
-    for cb in _cycle_boundary_bounds(a, gen, cap):
-        if cb.value is None or cb.value > d:
-            raise WitnessError(
-                f"{cb.kind} at degree {cb.degree} have relative dimension "
-                f"{'beyond the cap' if cb.value is None else cb.value}, not <= {d}"
-            )
+    _bounds_at_most(a, gen, d, cap)
     data = _column_data(a, cap)
     length = data.length
     if length > d:
@@ -605,14 +590,14 @@ def build_resolution_witness(
         all_pieces.append(pieces)
     # row maps between columns and the augmentation onto the complex
     aug = ChainMap(
-        columns[0], a, {n: data.rows[n].resolution.aug for n in a.support}
+        columns[0], a, {n: data.rows[n].aug for n in a.support}
     )
     rhos = []
     for j in range(1, length + 1):
         rho = ChainMap(
             columns[j],
             columns[j - 1],
-            {n: data.rows[n].resolution.diffs[j - 1] for n in a.support},
+            {n: data.rows[n].diffs[j - 1] for n in a.support},
         )
         rhos.append(rho)
 
@@ -684,7 +669,8 @@ def verify_certificate(node: Node, gen: Generator, seed: int = 0) -> Verdict:
     sequence revalidates degreewise, the link must be a quasi-isomorphism
     from the designated part onto the node's complex, the children must
     cover the right complexes, and the levels must add up with the
-    non-distinguished child at level <= 1.
+    non-distinguished child at level <= 1.  seed is unused; it stays for
+    callers that pass a certificate's seed line.
     """
 
     def walk(n: Node, path: str) -> Verdict:

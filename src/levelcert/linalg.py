@@ -31,7 +31,6 @@ __all__ = [
     "solve",
     "inverse",
     "hstack",
-    "vstack",
     "block_diag",
 ]
 
@@ -98,15 +97,6 @@ class Matrix:
 
     def is_square(self) -> bool:
         return self.rows == self.cols
-
-    def column(self, j: int) -> "Matrix":
-        return Matrix(self.p, self.array[:, j : j + 1])
-
-    def columns(self, lo: int, hi: int) -> "Matrix":
-        return Matrix(self.p, self.array[:, lo:hi])
-
-    def row_slice(self, lo: int, hi: int) -> "Matrix":
-        return Matrix(self.p, self.array[lo:hi, :])
 
     def scale(self, c: int) -> "Matrix":
         return Matrix(self.p, (self.array * (c % self.p)) % self.p)
@@ -266,14 +256,6 @@ def hstack(mats: list[Matrix]) -> Matrix:
     if any(m.rows != rows for m in mats):
         raise ValueError("row count mismatch in hstack")
     return Matrix(p, np.hstack([m.array for m in mats]))
-
-
-def vstack(mats: list[Matrix]) -> Matrix:
-    p = _common_modulus(mats)
-    cols = mats[0].cols
-    if any(m.cols != cols for m in mats):
-        raise ValueError("column count mismatch in vstack")
-    return Matrix(p, np.vstack([m.array for m in mats]))
 
 
 def block_diag(p: int, mats: list[Matrix]) -> Matrix:

@@ -107,14 +107,14 @@ def run_criterion_1() -> Criterion:
     t0 = time.time()
     alg = algebra("dual")
     total, _, _ = direct_sum(alg, [projective_generator(alg), simple_module(alg, "1")])
-    gen = make_generator(total, seed=0)
+    gen = make_generator(total)
     failures = 0
     buf = io.StringIO()
     for i in range(200):
         seed = 1000 + i
         a = random_complex(alg, np.random.default_rng(seed), max_len=4, max_dim=4)
-        node = build_split_witness(a, gen, seed=seed)
-        verdict = verify_certificate(node, gen, seed=seed)
+        node = build_split_witness(a, gen)
+        verdict = verify_certificate(node, gen)
         if node.level > 2 or not verdict.accepted:
             failures += 1
         buf.write(render_certificate("lambda1", alg, "allmods", gen, node, seed))
@@ -137,12 +137,12 @@ def run_criterion_2() -> Criterion:
     buf = io.StringIO()
     for key, d in (("a3", 2), ("a4", 3)):
         alg = algebra(key)
-        gen = make_generator(projective_generator(alg), seed=0)
+        gen = make_generator(projective_generator(alg))
         for i in range(100):
             seed = 2000 + i
             a = random_complex(alg, np.random.default_rng(seed), max_len=4, max_dim=2)
-            node = build_resolution_witness(a, gen, d, seed=seed)
-            verdict = verify_certificate(node, gen, seed=seed)
+            node = build_resolution_witness(a, gen, d)
+            verdict = verify_certificate(node, gen)
             if node.level > d + 1 or not verdict.accepted:
                 failures += 1
             buf.write(render_certificate(key, alg, "proj", gen, node, seed))
@@ -162,14 +162,14 @@ def run_criterion_3() -> Criterion:
     of level <= 3, all verified."""
     t0 = time.time()
     alg = algebra("a2")
-    gen = make_generator(projective_generator(alg), seed=0)
+    gen = make_generator(projective_generator(alg))
     failures = 0
     buf = io.StringIO()
     for i in range(100):
         seed = 3000 + i
         a = random_complex(alg, np.random.default_rng(seed), max_len=4, max_dim=2)
-        node = build_split_witness(a, gen, seed=seed)
-        verdict = verify_certificate(node, gen, seed=seed)
+        node = build_split_witness(a, gen)
+        verdict = verify_certificate(node, gen)
         if node.level > 3 or not verdict.accepted:
             failures += 1
         buf.write(render_certificate("lambda2", alg, "proj", gen, node, seed))
@@ -193,12 +193,12 @@ def run_criterion_4() -> Criterion:
     buf = io.StringIO()
     for key, d in (("a2", 1), ("a3", 2)):
         alg = algebra(key)
-        gen = make_generator(projective_generator(alg), seed=0)
+        gen = make_generator(projective_generator(alg))
         for i in range(50):
             seed = 4000 + i
             a = random_complex(alg, np.random.default_rng(seed), max_len=4, max_dim=2)
             try:
-                step = reduction_step(a, gen, d, seed=seed)
+                step = reduction_step(a, gen, d)
             except Exception as exc:  # posted as a violation, never swallowed
                 violations += 1
                 buf.write(f"{key} seed {seed}: step failed: {exc}\n")
@@ -323,7 +323,7 @@ def run_criterion_6() -> Criterion:
     dimensions."""
     t0 = time.time()
     alg = algebra("point")
-    gen = make_generator(projective_generator(alg), seed=0)
+    gen = make_generator(projective_generator(alg))
     discrepancies = 0
     buf = io.StringIO()
     for i in range(200):
@@ -350,8 +350,8 @@ def run_criterion_6() -> Criterion:
             discrepancies += 1
             buf.write(f"seed {seed}: oracle map failed\n")
             continue
-        node = build_split_witness(a, gen, seed=seed)
-        verdict = verify_certificate(node, gen, seed=seed)
+        node = build_split_witness(a, gen)
+        verdict = verify_certificate(node, gen)
         claimed = _certificate_homology_dims(node)
         oracle = {n: h for n, h in hdims.items() if h}
         buf.write(f"seed {seed}: oracle {sorted(oracle.items())}\n")
@@ -374,7 +374,7 @@ def run_criterion_7() -> Criterion:
     the projectives, cross-checked by the cover-kernel test."""
     t0 = time.time()
     alg = algebra("a2")
-    gen = make_generator(projective_generator(alg), seed=0)
+    gen = make_generator(projective_generator(alg))
     discrepancies = 0
     count = 0
     buf = io.StringIO()
@@ -389,7 +389,7 @@ def run_criterion_7() -> Criterion:
                 except Exception:
                     continue  # relation filter (vacuous here)
                 count += 1
-                report = xdim(m, gen, seed=7000)
+                report = xdim(m, gen)
                 proj = projective_cover(m).kernel.is_zero()
                 member = in_add(m, gen)
                 buf.write(f"dims ({d1},{d2}) entries {entries}: value {report.value}\n")

@@ -224,3 +224,105 @@ def test_semires_check_refutes(tmp_path, capsys):
 
 def test_semires_check_needs_samples(capsys):
     assert main(["semires-check", fx("lambda2.alg"), fx("lambda2.proj.gen")]) == 2
+
+
+# ---------------------------------------------------------------------------
+# Malformed input: exit 3 with the offending line, never a traceback
+
+
+def _lambda2_module(body: str) -> str:
+    return f"begin module m\n{body}end module\n"
+
+
+def _mutate_first(text: str, start: str, edit) -> tuple[str, int]:
+    """text with edit applied to the first tree line (after the generator
+    block) starting with start, and the 1-based number of that line."""
+    lines = text.splitlines()
+    first = lines.index("  end generator")
+    i = next(k for k in range(first, len(lines)) if lines[k].strip().startswith(start))
+    lines[i : i + 1] = edit(lines[i])
+    return "\n".join(lines) + "\n", i + 1
+
+
+def _retag(new: str):
+    return lambda line: [line[: len(line) - len(line.lstrip())] + new]
+
+
+def _drop(line: str) -> list[str]:
+    return []
+
+
+CERT_CASES = {
+    "cert-term-degree-not-int": ("begin term", _retag("begin term x"), 0),
+    "cert-component-without-degree": ("begin component", _retag("begin component"), 0),
+    "cert-piece-without-arguments": ("begin piece", _retag("begin piece"), 0),
+    "cert-unknown-arrow-label": ("begin matrix a ", lambda ln: [ln.replace(" a ", " zz ")], 0),
+    # the missing dim is reported at its term block, the line above it
+    "cert-term-missing-dim": ("dim ", _drop, -1),
+}
+
+FILE_CASES = {
+    "module-negative-dim": ("xdim", _lambda2_module("dim 1 -1\ndim 2 0\n"), 2),
+    "matrix-negative-shape": (
+        "xdim",
+        _lambda2_module("dim 1 1\ndim 2 1\nbegin matrix a -1 1\nend matrix\n"),
+        4,
+    ),
+    "matrix-entry-overflows-int64": (
+        "xdim",
+        _lambda2_module(
+            "dim 1 1\ndim 2 1\nbegin matrix a 1 1\nrow 99999999999999999999\nend matrix\n"
+        ),
+        5,
+    ),
+    "matrix-entry-not-a-residue": (
+        "xdim",
+        _lambda2_module("dim 1 1\ndim 2 1\nbegin matrix a 1 1\nrow 3\nend matrix\n"),
+        5,
+    ),
+    "complex-term-without-module": (
+        "witness",
+        "begin module S1\ndim 1 1\ndim 2 0\nend module\n"
+        "begin complex c\nsupport 0 0\nterm 0\nend complex\n",
+        7,
+    ),
+    # each support degree needs a term, so a short file cannot ask for a long complex
+    "complex-support-without-terms": (
+        "witness",
+        "begin module S1\ndim 1 1\ndim 2 0\nend module\n"
+        "begin complex c\nsupport 0 1000\nterm 0 S1\nend complex\n",
+        5,
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def lambda3_certificate(tmp_path_factory) -> str:
+    cert = tmp_path_factory.mktemp("cert") / "cert.lc"
+    assert main([
+        "witness", fx("lambda3.alg"), fx("s1_stalk_lambda3.cpx"), fx("lambda3.proj.gen"),
+        "--mode", "main", "--d", "2", "--out", str(cert),
+    ]) == 0
+    return cert.read_text()
+
+
+@pytest.mark.parametrize("case", sorted(CERT_CASES) + sorted(FILE_CASES))
+def test_malformed_input_exits_3_with_line(case, lambda3_certificate, tmp_path, capsys):
+    capsys.readouterr()
+    path = tmp_path / "input"
+    if case in CERT_CASES:
+        start, edit, offset = CERT_CASES[case]
+        text, line = _mutate_first(lambda3_certificate, start, edit)
+        line += offset
+        argv = ["verify", str(path)]
+    else:
+        command, text, line = FILE_CASES[case]
+        argv = {
+            "xdim": ["xdim", fx("lambda2.alg"), str(path), fx("lambda2.proj.gen")],
+            "witness": ["witness", fx("lambda2.alg"), str(path), fx("lambda2.proj.gen")],
+        }[command]
+    path.write_text(text)
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert f"line {line}:" in err
+    assert "Traceback" not in err

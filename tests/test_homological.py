@@ -321,8 +321,8 @@ def test_xdim_exceeds_cap_is_value(dual, gen_proj_dual):
 
 
 def test_xdim_deterministic(a3, gen_proj_a3):
-    r1 = xdim(simple_module(a3, "1"), gen_proj_a3, seed=3)
-    r2 = xdim(simple_module(a3, "1"), gen_proj_a3, seed=3)
+    r1 = xdim(simple_module(a3, "1"), gen_proj_a3)
+    r2 = xdim(simple_module(a3, "1"), gen_proj_a3)
     assert r1.value == r2.value
     assert [s.kernel.dims for s in r1.steps] == [s.kernel.dims for s in r2.steps]
 

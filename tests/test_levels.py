@@ -371,6 +371,6 @@ def test_split_witness_level_two_on_rep_finite_a3(a3):
     _, gen = load_generator_file(str(fixtures / "lambda3.all.gen"), a3)
     for seed in range(8):
         c = random_complex(a3, np.random.default_rng(seed), max_len=4, max_dim=2)
-        node = build_split_witness(c, gen, seed=seed)
+        node = build_split_witness(c, gen)
         assert node.level <= 2
-        assert verify_certificate(node, gen, seed=seed).accepted
+        assert verify_certificate(node, gen).accepted
