@@ -7,10 +7,11 @@ Commands:
   witness       build a level certificate for a complex and write it out
   verify        re-verify a certificate file
   bound         the derived-dimension bound table for a given dimension
-  semires-check empirically refute a declared semi-resolving generator
+  semires-check decide whether add M is closed under syzygies
 
 Exit codes: 0 success/accept, 1 reject/refutation (including a relative
-dimension beyond the cap), 2 usage error, 3 malformed input.
+dimension beyond the cap and a generator not closed under syzygies),
+2 usage error, 3 malformed input.
 """
 
 from __future__ import annotations
@@ -18,8 +19,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-
-import numpy as np
 
 from .algebra import AlgebraError, indecomposable_projective
 from .formats import (
@@ -35,8 +34,8 @@ from .formats import (
 )
 from .homological import (
     DEFAULT_CAP,
-    check_semi_resolving_samples,
     syzygy,
+    syzygy_closure,
     xdim,
 )
 from .levels import (
@@ -46,7 +45,6 @@ from .levels import (
     derived_dim_bound,
     verify_certificate,
 )
-from .sampling import random_module
 
 EXIT_OK = 0
 EXIT_REJECT = 1
@@ -102,7 +100,7 @@ def cmd_xdim(args) -> int:
                     "value": report.value,
                     "exceeded_cap": report.exceeded,
                     "cap": report.cap,
-                    "conditional_on_semi_resolving": report.conditional_on_semi_resolving,
+                    "conditional_on_semi_resolving": gen.declared_semi_resolving,
                     "trace": [
                         {
                             "cover_dims": list(s.cover.dims),
@@ -231,40 +229,13 @@ def cmd_bound(args) -> int:
 def cmd_semires_check(args) -> int:
     _, alg = load_algebra_file(args.algebra)
     _, gen = load_generator_file(args.generator, alg)
-    samples = []
-    for path in args.samples:
-        _, m = load_module_file(path, alg)
-        samples.append(m)
-    if args.random:
-        rng = np.random.default_rng(args.seed)
-        for _ in range(args.random):
-            samples.append(random_module(alg, rng, max_dim=2))
-    if not samples:
-        print("error: no samples given (pass module files or --random N)", file=sys.stderr)
-        return EXIT_USAGE
-    report = check_semi_resolving_samples(gen, samples, args.cap)
+    omega, closed = syzygy_closure(gen)
     if args.json:
-        print(
-            json.dumps(
-                {
-                    "refuted": report.refuted,
-                    "checks": [
-                        {
-                            "dims": list(c.sample.dims),
-                            "status": c.status,
-                            "detail": c.detail,
-                        }
-                        for c in report.checks
-                    ],
-                },
-                sort_keys=True,
-            )
-        )
+        print(json.dumps({"syzygy_dims": list(omega.dims), "closed": closed}, sort_keys=True))
     else:
-        for c in report.checks:
-            print(f"{c.status:13s} {_dim_vector(alg, c.sample)}: {c.detail}")
-        print("refuted" if report.refuted else "no violation found")
-    return EXIT_REJECT if report.refuted else EXIT_OK
+        print(f"syzygy of M: vector {_dim_vector(alg, omega)}")
+        print("closed under syzygies" if closed else "not closed under syzygies")
+    return EXIT_OK if closed else EXIT_REJECT
 
 
 def build_parser() -> _Parser:
@@ -319,13 +290,10 @@ def build_parser() -> _Parser:
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_bound)
 
-    p = sub.add_parser("semires-check", help="empirically refute a semi-resolving declaration")
+    p = sub.add_parser("semires-check", help="decide whether add M is closed under syzygies")
     p.add_argument("algebra")
     p.add_argument("generator")
-    p.add_argument("samples", nargs="*", help="module files to test")
-    p.add_argument("--random", type=int, default=0, help="additionally test N seeded random modules")
-    p.add_argument("--seed", type=int, default=0, help="seed for the --random samples")
-    common(p)
+    common(p, cap=False)
     p.set_defaults(func=cmd_semires_check)
     return parser
 
@@ -344,16 +312,10 @@ def main(argv=None) -> int:
             return EXIT_USAGE
     try:
         return args.func(args)
-    except FormatError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except FileNotFoundError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except WitnessError as exc:
         print(f"construction failed: {exc}", file=sys.stderr)
         return EXIT_REJECT
-    except AlgebraError as exc:
+    except (FormatError, FileNotFoundError, AlgebraError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -137,21 +137,22 @@ class Block:
     def field_values(self, name: str) -> list[list[str]]:
         return [values for fname, values, _ in self.fields if fname == name]
 
-    def one_field(self, name: str) -> list[str]:
-        hits = self.field_values(name)
+    def one_field(self, name: str, required: bool = True) -> tuple[list[str], int] | None:
+        """The values and line of the one field name, or None when it is
+        absent and not required."""
+        hits = [(values, line) for fname, values, line in self.fields if fname == name]
+        if not hits and not required:
+            return None
         if len(hits) != 1:
             raise FormatError(
                 f"expected exactly one {name!r} field, found {len(hits)}", self.line
             )
         return hits[0]
 
-    def optional_field(self, name: str) -> list[str] | None:
-        hits = self.field_values(name)
-        if not hits:
-            return None
-        if len(hits) > 1:
-            raise FormatError(f"duplicate field {name!r}", self.line)
-        return hits[0]
+
+# the blocks of a certificate that take no arguments
+_BARE_KINDS = {"certificate", "leaf", "branch", "ses", "subject", "sub", "middle",
+               "quotient", "presentation", "inclusion", "projection", "link"}
 
 
 def parse_document(text: str) -> list[Block]:
@@ -165,6 +166,8 @@ def parse_document(text: str) -> list[Block]:
         if tokens[0] == "begin":
             if len(tokens) < 2:
                 raise FormatError("begin needs a block kind", lineno)
+            if len(tokens) > 2 and tokens[1] in _BARE_KINDS:
+                raise FormatError(f"{tokens[1]} block takes no arguments", lineno)
             block = Block(tokens[1], tokens[2:], line=lineno)
             stack[-1].children.append(block)
             stack.append(block)
@@ -172,7 +175,9 @@ def parse_document(text: str) -> list[Block]:
             if len(stack) == 1:
                 raise FormatError("end without matching begin", lineno)
             open_block = stack.pop()
-            if len(tokens) > 1 and tokens[1] != open_block.kind:
+            if len(tokens) > 2:
+                raise FormatError("end takes only the block kind", lineno)
+            if len(tokens) == 2 and tokens[1] != open_block.kind:
                 raise FormatError(
                     f"end {tokens[1]!r} does not match open block {open_block.kind!r}",
                     lineno,
@@ -213,6 +218,23 @@ def _int(values: list[str], index: int, line: int) -> int:
         return int(values[index])
     except (IndexError, ValueError):
         raise FormatError("expected an integer", line) from None
+
+
+def _int_field(
+    block: Block, name: str, default: int | None = None, choices: tuple[int, ...] = ()
+) -> int:
+    """The value of a field holding one integer, one of choices if any are
+    given.  A missing field gives default, and is an error without one."""
+    hit = block.one_field(name, required=default is None)
+    if hit is None:
+        return default
+    values, line = hit
+    if len(values) != 1:
+        raise FormatError(f"{name} takes one integer", line)
+    value = _int(values, 0, line)
+    if choices and value not in choices:
+        raise FormatError(f"{name} must be {' or '.join(map(str, choices))}", line)
+    return value
 
 
 def _degree(block: Block) -> int:
@@ -325,8 +347,8 @@ def decode_algebra(block: Block) -> tuple[str, Algebra]:
     if block.kind != "algebra":
         raise FormatError(f"expected an algebra block, got {block.kind!r}", block.line)
     name = block.args[0] if block.args else "algebra"
-    p = _int(block.one_field("modulus"), 0, block.line)
-    cap = _int(block.one_field("cap"), 0, block.line)
+    p = _int_field(block, "modulus")
+    cap = _int_field(block, "cap")
     vertices = []
     for values in block.field_values("vertex"):
         if len(values) != 1:
@@ -448,11 +470,12 @@ def _read_complex(block: Block, alg: Algebra, terms: dict[int, Module]) -> Compl
         if n in diff_blocks:
             raise FormatError(f"duplicate diff at degree {n}", b.line)
         diff_blocks[n] = b
-    support = block.optional_field("support")
-    if support is None:
+    hit = block.one_field("support", required=False)
+    if hit is None:
         if terms or diff_blocks:
             raise FormatError("terms or diffs without a support line", block.line)
         return Complex.zero(alg)
+    support, _ = hit
     if len(support) != 2:
         raise FormatError("support takes the lowest and the highest degree", block.line)
     lo, hi = _int(support, 0, block.line), _int(support, 1, block.line)
@@ -542,8 +565,7 @@ def decode_generator(block: Block, alg: Algebra) -> tuple[str, Generator]:
     if block.kind != "generator":
         raise FormatError(f"expected a generator block, got {block.kind!r}", block.line)
     name = block.args[0] if block.args else "generator"
-    flag_values = block.optional_field("semi_resolving")
-    flag = bool(_int(flag_values, 0, block.line)) if flag_values else True
+    flag = _int_field(block, "semi_resolving", 1, choices=(0, 1))
     namespace: dict[str, Module] = {}
     for child in block.children_of("module"):
         mod_name, m = decode_module(child, alg)
@@ -565,7 +587,7 @@ def decode_generator(block: Block, alg: Algebra) -> tuple[str, Generator]:
         )
     total, _, _ = direct_sum(alg, summands)
     with _in_file(block.line):
-        return name, make_generator(total, flag)
+        return name, make_generator(total, bool(flag))
 
 
 # ---------------------------------------------------------------------------
@@ -650,43 +672,39 @@ def _write_node(w: _Writer, node: Node):
 
 
 def _read_node(block: Block, alg: Algebra, path: str) -> Node:
+    """The node of a leaf or branch block (callers pass no other kind)."""
+    level = _int_field(block, "level")
     if block.kind == "leaf":
-        level = _int(block.one_field("level"), 0, block.line)
         with _in_node(path):
             subject = _read_complex_inline(block.child("subject"), alg)
             pieces = tuple(_read_piece(b, alg) for b in block.children_of("piece"))
             target = assemble_pieces(alg, pieces)
             presentation = _read_chain_map(block.child("presentation"), subject, target)
         return Leaf(subject, pieces, presentation, level)
-    if block.kind == "branch":
-        level = _int(block.one_field("level"), 0, block.line)
-        kind_values = block.one_field("kind")
-        if len(kind_values) != 1:
-            raise FormatError("kind takes one link kind", block.line)
-        kind = kind_values[0]
-        with _in_node(path):
-            subject = _read_complex_inline(block.child("subject"), alg)
-        ses_block = block.child("ses")
-        with _in_node(path + ".ses"):
-            sub_c = _read_complex_inline(ses_block.child("sub"), alg)
-            mid_c = _read_complex_inline(ses_block.child("middle"), alg)
-            quot_c = _read_complex_inline(ses_block.child("quotient"), alg)
-            inclusion = _read_chain_map(ses_block.child("inclusion"), sub_c, mid_c)
-            projection = _read_chain_map(ses_block.child("projection"), mid_c, quot_c)
-            ses = ShortExactSequence(inclusion, projection)
-        linked = mid_c if kind == "middle" else quot_c
-        with _in_node(path + ".link"):
-            link = _read_chain_map(block.child("link"), linked, subject)
-        kids = [
-            b for b in block.children if b.kind in ("leaf", "branch")
-        ]
-        if len(kids) != 2:
-            raise CertificateDecodeError(path, "branch needs exactly two children")
-        sub = _read_node(kids[0], alg, path + ".sub")
-        rest = _read_node(kids[1], alg, path + ".rest")
-        with _in_node(path):
-            return Branch(subject, ses, link, kind, sub, rest, level)
-    raise CertificateDecodeError(path, f"unknown node kind {block.kind!r}")
+    kind_values, line = block.one_field("kind")
+    if len(kind_values) != 1:
+        raise FormatError("kind takes one link kind", line)
+    kind = kind_values[0]
+    with _in_node(path):
+        subject = _read_complex_inline(block.child("subject"), alg)
+    ses_block = block.child("ses")
+    with _in_node(path + ".ses"):
+        sub_c = _read_complex_inline(ses_block.child("sub"), alg)
+        mid_c = _read_complex_inline(ses_block.child("middle"), alg)
+        quot_c = _read_complex_inline(ses_block.child("quotient"), alg)
+        inclusion = _read_chain_map(ses_block.child("inclusion"), sub_c, mid_c)
+        projection = _read_chain_map(ses_block.child("projection"), mid_c, quot_c)
+        ses = ShortExactSequence(inclusion, projection)
+    linked = mid_c if kind == "middle" else quot_c
+    with _in_node(path + ".link"):
+        link = _read_chain_map(block.child("link"), linked, subject)
+    kids = [b for b in block.children if b.kind in ("leaf", "branch")]
+    if len(kids) != 2:
+        raise CertificateDecodeError(path, "branch needs exactly two children")
+    sub = _read_node(kids[0], alg, path + ".sub")
+    rest = _read_node(kids[1], alg, path + ".rest")
+    with _in_node(path):
+        return Branch(subject, ses, link, kind, sub, rest, level)
 
 
 def render_certificate(
@@ -715,8 +733,7 @@ def decode_certificate(text: str) -> tuple[Algebra, Generator, Node, int]:
             cert = b
     if cert is None:
         raise FormatError("no certificate block found")
-    seed_field = cert.optional_field("seed")
-    seed = _int(seed_field, 0, cert.line) if seed_field else 0
+    seed = _int_field(cert, "seed", 0)
     _, alg = decode_algebra(cert.child("algebra"))
     _, gen = decode_generator(cert.child("generator"), alg)
     node_blocks = [b for b in cert.children if b.kind in ("leaf", "branch")]

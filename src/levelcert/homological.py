@@ -4,7 +4,9 @@ relative to an additive generator, and decomposition.
 Membership in add M is decided exactly by the trace criterion (see
 in_add): one pair of hom spaces and one linear solve, with no search and
 no seed.  Everything built on it, the relative dimension xdim, the
-certificate builders and the verifier, is therefore exact as well.
+certificate builders and the verifier, is therefore exact as well.  So is
+syzygy_closure, which decides with one membership test whether add M is
+closed under syzygies.
 
 The reporting functions decompose and modules_isomorphic are the only
 searches left.  They enumerate exhaustively whenever the search space is
@@ -49,9 +51,7 @@ __all__ = [
     "XDimStep",
     "XDimReport",
     "xdim",
-    "SampleCheck",
-    "SemiResolvingReport",
-    "check_semi_resolving_samples",
+    "syzygy_closure",
 ]
 
 DEFAULT_CAP = 32
@@ -259,8 +259,8 @@ def modules_isomorphic(a: Module, b: Module, seed: int = 0) -> ModuleMap | None:
 class Generator:
     """An additive generator M, with X = add M.
 
-    The semi-resolving property is declared by the caller and only
-    empirically refutable (see check_semi_resolving_samples).
+    declared_semi_resolving is the caller's declaration; nothing computed
+    depends on it.  syzygy_closure decides closure under syzygies.
     """
 
     module: Module
@@ -334,6 +334,22 @@ def syzygy(m: Module, n: int) -> Module:
     return cur
 
 
+def syzygy_closure(gen: Generator) -> tuple[Module, bool]:
+    """The syzygy of M, and whether add M is closed under syzygies.
+
+    add M is closed under syzygies when every A in add M has its cover
+    kernel in add M, and that holds exactly when the cover kernel of M
+    does.  Minimal projective covers are additive, so the cover kernel of
+    a direct sum is the sum of the cover kernels, up to isomorphism.  If
+    A + B = M^n then the syzygy of A is a summand of the syzygy of M taken
+    n times, and add M is closed under summands; conversely A = M is in
+    add M.  So the one membership test below decides the question for all
+    of add M, with no search over its modules.
+    """
+    omega = syzygy(gen.module, 1)
+    return omega, in_add(omega, gen)
+
+
 @dataclass(frozen=True)
 class XDimStep:
     cover: Module
@@ -348,17 +364,12 @@ class XDimReport:
 
     value None means the cap was exceeded (a legitimate outcome standing
     for an infinite dimension, never an exception).  The computed value is
-    exact whenever add M really is semi-resolving; the report records that
-    the caller declared it so.
+    exact whenever add M really is semi-resolving.
     """
 
-    subject: Module
-    generator: Generator
     cap: int
     value: int | None
-    initial: bool
     steps: tuple[XDimStep, ...]
-    conditional_on_semi_resolving: bool
 
     @property
     def exceeded(self) -> bool:
@@ -370,12 +381,12 @@ def xdim(m: Module, gen: Generator, cap: int = DEFAULT_CAP) -> XDimReport:
 
     The trace runs m, K1 = ker(cover(m)), K2, ... and stops at the first
     kernel lying in add M.  For a semi-resolving add M this computes the
-    true relative dimension; in general it is an upper-bound procedure
-    conditional on the declared flag.
+    true relative dimension; in general it is an upper bound.  Closure of
+    add M under syzygies, decided by syzygy_closure, is necessary for it
+    to be exact.
     """
-    first = in_add(m, gen)
-    if first:
-        return XDimReport(m, gen, cap, 0, first, (), gen.declared_semi_resolving)
+    if in_add(m, gen):
+        return XDimReport(cap, 0, ())
     steps: list[XDimStep] = []
     cur = m
     for t in range(1, cap + 1):
@@ -384,86 +395,6 @@ def xdim(m: Module, gen: Generator, cap: int = DEFAULT_CAP) -> XDimReport:
         member = in_add(k, gen)
         steps.append(XDimStep(cover.projective, k, member))
         if member:
-            return XDimReport(
-                m, gen, cap, t, first, tuple(steps), gen.declared_semi_resolving
-            )
+            return XDimReport(cap, t, tuple(steps))
         cur = k
-    return XDimReport(m, gen, cap, None, first, tuple(steps), gen.declared_semi_resolving)
-
-
-@dataclass(frozen=True)
-class SampleCheck:
-    sample: Module
-    status: str  # "pass" | "fail" | "indeterminate"
-    detail: str
-    subject_value: int | None
-    kernel_value: int | None
-
-
-@dataclass(frozen=True)
-class SemiResolvingReport:
-    generator: Generator
-    checks: tuple[SampleCheck, ...]
-
-    @property
-    def refuted(self) -> bool:
-        return any(c.status == "fail" for c in self.checks)
-
-
-def check_semi_resolving_samples(
-    gen: Generator,
-    samples: list[Module],
-    cap: int = DEFAULT_CAP,
-) -> SemiResolvingReport:
-    """Empirically test the semi-resolving dichotomy on sample modules.
-
-    For each sample A with cover kernel K: if A is in add M then K must be
-    too, otherwise the relative dimension must drop by exactly one.  This
-    refutes a false declaration; it can never prove the property.
-    """
-    checks = []
-    for sample in samples:
-        cover = projective_cover(sample)
-        k = cover.kernel
-        if in_add(sample, gen):
-            ok = in_add(k, gen)
-            checks.append(
-                SampleCheck(
-                    sample,
-                    "pass" if ok else "fail",
-                    "sample in add M; kernel " + ("in add M" if ok else "NOT in add M"),
-                    0,
-                    0 if ok else None,
-                )
-            )
-            continue
-        xa = xdim(sample, gen, cap)
-        if xa.exceeded:
-            checks.append(
-                SampleCheck(sample, "indeterminate", f"sample exceeds cap {cap}", None, None)
-            )
-            continue
-        xk = xdim(k, gen, cap)
-        if xk.exceeded:
-            checks.append(
-                SampleCheck(
-                    sample,
-                    "fail",
-                    f"kernel exceeds cap {cap} but sample has value {xa.value}",
-                    xa.value,
-                    None,
-                )
-            )
-            continue
-        ok = xk.value == xa.value - 1
-        checks.append(
-            SampleCheck(
-                sample,
-                "pass" if ok else "fail",
-                f"sample value {xa.value}, kernel value {xk.value}"
-                + ("" if ok else " (expected one less)"),
-                xa.value,
-                xk.value,
-            )
-        )
-    return SemiResolvingReport(gen, tuple(checks))
+    return XDimReport(cap, None, tuple(steps))

@@ -156,7 +156,6 @@ class CycleBound:
 @dataclass(frozen=True)
 class ReductionStep:
     epi_data: ProjectiveEpi
-    input_bounds: tuple[CycleBound, ...]
     output_bounds: tuple[CycleBound, ...]
 
     @property
@@ -174,16 +173,14 @@ def _cycle_boundary_bounds(a: Complex, gen: Generator, cap: int):
     return tuple(out)
 
 
-def _bounds_at_most(a: Complex, gen: Generator, d: int, cap: int):
-    """The cycle and boundary bounds of a; raises unless all are <= d."""
-    bounds = _cycle_boundary_bounds(a, gen, cap)
-    for cb in bounds:
+def _bounds_at_most(a: Complex, gen: Generator, d: int, cap: int) -> None:
+    """Raise unless every cycle and boundary bound of a is <= d."""
+    for cb in _cycle_boundary_bounds(a, gen, cap):
         if cb.value is None or cb.value > d:
             raise WitnessError(
                 f"{cb.kind} at degree {cb.degree} have relative dimension "
                 f"{'beyond the cap' if cb.value is None else cb.value}, not <= {d}"
             )
-    return bounds
 
 
 def reduction_step(
@@ -200,7 +197,7 @@ def reduction_step(
     """
     if d < 1:
         raise WitnessError("reduction step needs d >= 1")
-    inputs = _bounds_at_most(a, gen, d, cap)
+    _bounds_at_most(a, gen, d, cap)
     pe = projective_epi(a)
     outputs = _cycle_boundary_bounds(pe.kernel, gen, cap)
     for cb in outputs:
@@ -212,7 +209,7 @@ def reduction_step(
                 "either add M is not semi-resolving or d does not bound the "
                 "relative dimension of every module"
             )
-    return ReductionStep(pe, inputs, outputs)
+    return ReductionStep(pe, outputs)
 
 
 # ---------------------------------------------------------------------------

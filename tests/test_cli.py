@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import pathlib
+import shlex
 
 import pytest
 
@@ -194,16 +195,17 @@ def test_usage_error_unknown_command(capsys):
 
 
 def test_semires_check_passes(capsys):
-    code = main([
-        "semires-check", fx("lambda2.alg"), fx("lambda2.proj.gen"),
-        fx("s1_lambda2.mod"), "--random", "5",
-    ])
+    code = main(["semires-check", fx("lambda2.alg"), fx("lambda2.proj.gen")])
     assert code == 0
-    assert "no violation found" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "syzygy of M: vector (1:0, 2:0)" in out
+    assert "closed under syzygies" in out
+    assert "not closed" not in out
 
 
 def test_semires_check_refutes(tmp_path, capsys):
-    # add(regular + S1) over lambda3 is not semi-resolving
+    # add(regular + S1) over lambda3 is not closed under syzygies: the
+    # syzygy of M is S2
     gen = tmp_path / "bad.gen"
     gen.write_text(
         "begin generator bad\n"
@@ -215,15 +217,24 @@ def test_semires_check_refutes(tmp_path, capsys):
         "summand S1\n"
         "end generator\n"
     )
-    code = main([
-        "semires-check", fx("lambda3.alg"), str(gen), fx("s1_lambda3.mod")
-    ])
-    assert code == 1
-    assert "refuted" in capsys.readouterr().out
+    assert main(["semires-check", fx("lambda3.alg"), str(gen)]) == 1
+    out = capsys.readouterr().out
+    assert "syzygy of M: vector (1:0, 2:1, 3:0)" in out
+    assert "not closed under syzygies" in out
+    assert main(["semires-check", fx("lambda3.alg"), str(gen), "--json"]) == 1
+    data = json.loads(capsys.readouterr().out)
+    assert data == {"closed": False, "syzygy_dims": [0, 1, 0]}
 
 
-def test_semires_check_needs_samples(capsys):
-    assert main(["semires-check", fx("lambda2.alg"), fx("lambda2.proj.gen")]) == 2
+@pytest.mark.parametrize("alg", ["lambda0", "lambda1", "lambda2", "lambda3", "lambda4"])
+@pytest.mark.parametrize("kind", ["proj", "all"])
+def test_semires_check_fixture_generators_closed(alg, kind, capsys):
+    assert main(["semires-check", fx(f"{alg}.alg"), fx(f"{alg}.{kind}.gen")]) == 0
+
+
+def test_semires_check_rejects_samples(capsys):
+    argv = ["semires-check", fx("lambda2.alg"), fx("lambda2.proj.gen"), fx("s1_lambda2.mod")]
+    assert main(argv) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -234,11 +245,12 @@ def _lambda2_module(body: str) -> str:
     return f"begin module m\n{body}end module\n"
 
 
-def _mutate_first(text: str, start: str, edit) -> tuple[str, int]:
-    """text with edit applied to the first tree line (after the generator
-    block) starting with start, and the 1-based number of that line."""
+def _mutate_first(text: str, start: str, edit, after: str | None) -> tuple[str, int]:
+    """text with edit applied to the first line starting with start that
+    follows the line after (or any line, when after is None), and the
+    1-based number of that line."""
     lines = text.splitlines()
-    first = lines.index("  end generator")
+    first = 0 if after is None else lines.index(after)
     i = next(k for k in range(first, len(lines)) if lines[k].strip().startswith(start))
     lines[i : i + 1] = edit(lines[i])
     return "\n".join(lines) + "\n", i + 1
@@ -252,6 +264,10 @@ def _drop(line: str) -> list[str]:
     return []
 
 
+def _append_token(line: str) -> list[str]:
+    return [line + " x"]
+
+
 CERT_CASES = {
     "cert-term-degree-not-int": ("begin term", _retag("begin term x"), 0),
     "cert-component-without-degree": ("begin component", _retag("begin component"), 0),
@@ -259,6 +275,18 @@ CERT_CASES = {
     "cert-unknown-arrow-label": ("begin matrix a ", lambda ln: [ln.replace(" a ", " zz ")], 0),
     # the missing dim is reported at its term block, the line above it
     "cert-term-missing-dim": ("dim ", _drop, -1),
+}
+
+# searched from the top of the certificate; each fault is on the edited line
+CERT_LINE_CASES = {
+    "cert-end-trailing-token": ("end matrix", _append_token),
+    "cert-leaf-argument": ("begin leaf", _append_token),
+    "cert-level-trailing-token": ("level 2", _append_token),
+    "cert-seed-trailing-token": ("seed 0", _append_token),
+    "cert-modulus-trailing-token": ("modulus 2", _append_token),
+    "cert-flag-trailing-token": ("semi_resolving 1", _append_token),
+    "cert-flag-not-0-or-1": ("semi_resolving 1", _retag("semi_resolving 7")),
+    "cert-end-certificate-trailing-token": ("end certificate", _append_token),
 }
 
 FILE_CASES = {
@@ -306,14 +334,20 @@ def lambda3_certificate(tmp_path_factory) -> str:
     return cert.read_text()
 
 
-@pytest.mark.parametrize("case", sorted(CERT_CASES) + sorted(FILE_CASES))
+@pytest.mark.parametrize(
+    "case", sorted(CERT_CASES) + sorted(CERT_LINE_CASES) + sorted(FILE_CASES)
+)
 def test_malformed_input_exits_3_with_line(case, lambda3_certificate, tmp_path, capsys):
     capsys.readouterr()
     path = tmp_path / "input"
     if case in CERT_CASES:
         start, edit, offset = CERT_CASES[case]
-        text, line = _mutate_first(lambda3_certificate, start, edit)
+        text, line = _mutate_first(lambda3_certificate, start, edit, "  end generator")
         line += offset
+        argv = ["verify", str(path)]
+    elif case in CERT_LINE_CASES:
+        start, edit = CERT_LINE_CASES[case]
+        text, line = _mutate_first(lambda3_certificate, start, edit, None)
         argv = ["verify", str(path)]
     else:
         command, text, line = FILE_CASES[case]
@@ -326,3 +360,31 @@ def test_malformed_input_exits_3_with_line(case, lambda3_certificate, tmp_path, 
     err = capsys.readouterr().err
     assert f"line {line}:" in err
     assert "Traceback" not in err
+
+
+# ---------------------------------------------------------------------------
+# The README's command-line examples run as written
+
+
+def _readme_commands() -> list[list[str]]:
+    """The levelcert lines of the README's command-line sh block, with
+    continuations joined and fixture paths made absolute."""
+    readme = (FIXTURES.parent / "README.md").read_text()
+    section = readme.split("## Command line", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = []
+    for line in block.replace("\\\n", " ").splitlines():
+        argv = shlex.split(line)
+        if argv and argv[0] == "levelcert":
+            commands.append(
+                [fx(a[len("fixtures/"):]) if a.startswith("fixtures/") else a for a in argv[1:]]
+            )
+    return commands
+
+
+def test_readme_commands_exit_0(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    commands = _readme_commands()
+    assert len(commands) >= 7
+    for argv in commands:
+        assert main(argv) == 0, argv

@@ -26,12 +26,12 @@ from levelcert.formats import load_algebra_file, load_generator_file
 from levelcert.homological import (
     ENUM_LIMIT,
     GeneratorError,
-    check_semi_resolving_samples,
     decompose,
     in_add,
     make_generator,
     modules_isomorphic,
     syzygy,
+    syzygy_closure,
     xdim,
 )
 from levelcert.sampling import random_module
@@ -328,43 +328,59 @@ def test_xdim_deterministic(a3, gen_proj_a3):
 
 
 # ---------------------------------------------------------------------------
-# semi-resolving checker
+# closure under syzygies
 
 
 def test_semires_everything_passes_dual(dual, gen_all_dual):
-    reg = projective_generator(dual)
-    s = simple_module(dual, "1")
-    both, _, _ = direct_sum(dual, [s, reg])
-    report = check_semi_resolving_samples(gen_all_dual, [s, reg, both])
-    assert not report.refuted
-    assert all(c.status == "pass" for c in report.checks)
+    # M = regular + S over the dual numbers: the syzygy of M is S
+    omega, closed = syzygy_closure(gen_all_dual)
+    assert closed
+    assert omega.dims == (1,)
 
 
 def test_semires_projectives_pass_a2(a2, gen_proj_a2):
-    report = check_semi_resolving_samples(
-        gen_proj_a2, [simple_module(a2, "1"), indecomposable_projective(a2, "1")]
-    )
-    assert not report.refuted
-    assert report.checks[0].subject_value == 1
-    assert report.checks[0].kernel_value == 0
+    omega, closed = syzygy_closure(gen_proj_a2)
+    assert closed
+    assert omega.is_zero()
+    s1 = simple_module(a2, "1")
+    assert xdim(s1, gen_proj_a2).value == 1
+    assert xdim(syzygy(s1, 1), gen_proj_a2).value == 0
 
 
 def test_semires_refutes_bad_generator(a3):
-    # add(regular + S1) over the a3 fixture is not semi-resolving: S1 is in
-    # add M but its cover kernel S2 is not.
+    # add(regular + S1) over the a3 fixture is not closed under syzygies:
+    # S1 is in add M but its cover kernel S2 is not.
     total, _, _ = direct_sum(
         a3, [projective_generator(a3), simple_module(a3, "1")]
     )
-    gen = make_generator(total)
-    report = check_semi_resolving_samples(gen, [simple_module(a3, "1")])
-    assert report.refuted
+    omega, closed = syzygy_closure(make_generator(total))
+    assert not closed
+    assert omega.dims == (0, 1, 0)
 
 
-def test_semires_indeterminate_on_cap(dual, gen_proj_dual):
-    report = check_semi_resolving_samples(
-        gen_proj_dual, [simple_module(dual, "1")], cap=3
-    )
-    assert report.checks[0].status == "indeterminate"
+def test_syzygy_closure_decides_for_sums_of_summands():
+    # Generators: the projectives plus 0-2 random modules.  Closed means
+    # every sum of M's summands has its syzygy in add M; not closed means
+    # the syzygy of some summand of M, and so of M itself, is outside it.
+    outcomes = set()
+    for seed in range(40):
+        rng = np.random.default_rng(9000 + seed)
+        alg = _ALGEBRAS[_STEMS[seed % len(_STEMS)]]
+        summands = [indecomposable_projective(alg, v) for v in alg.vertices]
+        summands += [random_module(alg, rng, max_dim=2) for _ in range(int(rng.integers(0, 3)))]
+        gen = make_generator(direct_sum(alg, summands)[0])
+        _, closed = syzygy_closure(gen)
+        outcomes.add(closed)
+        picks = rng.integers(0, 3, size=len(summands))
+        mixed = [m for m, k in zip(summands, picks) for _ in range(k)]
+        samples = [*summands, direct_sum(alg, mixed)[0], gen.module]
+        in_add_after = [in_add(syzygy(a, 1), gen) for a in samples]
+        if closed:
+            assert all(in_add_after), seed
+        else:
+            assert not in_add_after[-1], seed
+            assert not all(in_add_after[: len(summands)]), seed
+    assert outcomes == {True, False}
 
 
 # ---------------------------------------------------------------------------
