@@ -2,8 +2,8 @@
 bounded derived categories of finite-dimensional quiver algebras.
 
 The core pipeline: load a presented path algebra over a prime field,
-work with its finite-dimensional modules (covers, kernels, syzygies,
-decomposition into indecomposables), compute dimensions relative to an
+work with its finite-dimensional modules (covers, kernels, syzygies),
+compute dimensions relative to an
 additive generator, and build or verify explicit triangle-tower
 certificates that a bounded complex is generated in a stated number of
 layers.

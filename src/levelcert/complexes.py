@@ -39,8 +39,6 @@ __all__ = [
     "ChainMap",
     "ShortExactSequence",
     "ComplexError",
-    "ConcentrationError",
-    "DiskShapeError",
     "stalk",
     "disk",
     "cycles",
@@ -52,35 +50,13 @@ __all__ = [
     "kernel_of_chain_map",
     "Piece",
     "assemble_pieces",
-    "disk_profile",
     "ProjectiveEpi",
     "projective_epi",
-    "StalkReduction",
-    "kernel_stalk_reduce",
 ]
 
 
 class ComplexError(AlgebraError):
     pass
-
-
-class DiskShapeError(ComplexError):
-    """The operand is not a canonical sum of disks with positive indices."""
-
-
-class ConcentrationError(ComplexError):
-    """Kernel homology failed to concentrate in degree zero.
-
-    This diagnostic is always surfaced, never swallowed: it marks inputs on
-    which the single-stalk reduction is simply not available.
-    """
-
-    def __init__(self, degrees):
-        self.degrees = tuple(degrees)
-        super().__init__(
-            "kernel homology does not vanish outside degree 0 "
-            f"(nonzero in degrees {list(self.degrees)})"
-        )
 
 
 class Complex:
@@ -463,61 +439,6 @@ def assemble_pieces(algebra: Algebra, pieces) -> Complex:
     return Complex(algebra, lo, terms, diffs)
 
 
-def disk_profile(c: Complex) -> tuple[Piece, ...] | None:
-    """Recognize a canonical assembly of disks; None if the shape differs.
-
-    The profile is forced: the top term is all tops, and lower down the
-    module of the disk at index n is whatever is left after removing the
-    bottom copy of the disk at index n + 1.  The differential must be the
-    canonical top-to-bottom block and the term actions must be block
-    diagonal for the complex to literally equal the reassembled sum.
-    """
-    if c.is_zero():
-        return ()
-    alg = c.algebra
-    nvert = len(alg.vertices)
-    tops: dict[int, tuple[int, ...]] = {}
-    upper = tuple([0] * nvert)
-    for n in range(c.hi, c.lo - 1, -1):
-        dims = c.term(n).dims
-        top = tuple(d - u for d, u in zip(dims, upper))
-        if any(t < 0 for t in top):
-            return None
-        tops[n] = top
-        upper = top
-    if any(t for t in tops.get(c.lo, ())):
-        return None  # bottom degree must be pure bottoms
-    pieces = []
-    for n in range(c.lo + 1, c.hi + 1):
-        top = tops[n]
-        if not any(top):
-            continue
-        # extract the candidate disk module from the top block of degree n
-        term = c.term(n)
-        actions = []
-        ok = True
-        for ai, arrow in enumerate(alg.arrows):
-            sv = alg.vertex_index[arrow.source]
-            tv = alg.vertex_index[arrow.target]
-            act = term.actions[ai].array
-            t_rows, t_cols = top[tv], top[sv]
-            if act[t_rows:, :t_cols].any() or act[:t_rows, t_cols:].any():
-                ok = False
-                break
-            actions.append(Matrix(alg.p, act[:t_rows, :t_cols]))
-        if not ok:
-            return None
-        try:
-            mod = Module(alg, top, actions)
-        except AlgebraError:
-            return None
-        pieces.append(Piece("disk", mod, n))
-    rebuilt = assemble_pieces(alg, pieces)
-    if rebuilt != c:
-        return None
-    return tuple(pieces)
-
-
 @dataclass(frozen=True)
 class ProjectiveEpi:
     """A degreewise-surjective map from a sum of disks on projective covers."""
@@ -582,54 +503,3 @@ def projective_epi(a: Complex) -> ProjectiveEpi:
     ker, incl = kernel_of_chain_map(epi)
     ses = ShortExactSequence(incl, epi)
     return ProjectiveEpi(pieces, total, epi, ker, incl, ses)
-
-
-@dataclass(frozen=True)
-class StalkReduction:
-    kernel: Complex
-    stalk: Complex
-    reduction: ChainMap  # kernel -> stalk
-
-
-def kernel_stalk_reduce(phi: ChainMap) -> StalkReduction:
-    """Reduce the kernel of a map between positive-index disk sums to the
-    degree-zero stalk of its homology.
-
-    Requires both endpoints to be canonical disk sums with indices >= 1.
-    The kernel's homology is computed in every degree; if it fails to
-    vanish away from zero a ConcentrationError is raised (such kernels
-    exist, e.g. a map hitting only the bottom of a higher disk), otherwise
-    the natural projection onto the degree-zero homology stalk is built and
-    verified to be a quasi-isomorphism.
-    """
-    for side, cplx in (("source", phi.source), ("target", phi.target)):
-        profile = disk_profile(cplx)
-        if profile is None:
-            raise DiskShapeError(f"{side} is not a canonical sum of disks")
-        if any(p.degree < 1 for p in profile):
-            raise DiskShapeError(f"{side} has a disk with index < 1")
-    k, _ = kernel_of_chain_map(phi)
-    bad = []
-    h0 = None
-    for n in k.support:
-        h = homology(k, n)
-        if n == 0:
-            h0 = h
-        elif not h.module.is_zero():
-            bad.append(n)
-    if bad:
-        raise ConcentrationError(bad)
-    if k.is_zero() or h0 is None:
-        target = Complex.zero(phi.source.algebra)
-        rho = ChainMap.zero(k, target)
-        return StalkReduction(k, target, rho)
-    target = stalk(h0.module, 0)
-    # in the kernel of a positive-index disk sum map the bottom degree is 0,
-    # so every degree-0 element is a cycle and the natural map is the
-    # homology quotient on cycles.
-    if k.term(0) != h0.cycle_incl.source:
-        raise ComplexError("degree-0 cycles do not fill the term (internal error)")
-    rho = ChainMap(k, target, {0: h0.quotient})
-    if not is_quasi_iso(rho):
-        raise ComplexError("stalk reduction failed to verify (internal error)")
-    return StalkReduction(k, target, rho)

@@ -58,6 +58,7 @@ from .homological import Generator, make_generator
 from .levels import Branch, Leaf, Node
 
 __all__ = [
+    "MAX_MODULE_DIM",
     "FormatError",
     "CertificateDecodeError",
     "parse_document",
@@ -76,6 +77,12 @@ __all__ = [
     "load_complex_file",
     "load_generator_file",
 ]
+
+# The largest total dimension a decoded module body may declare, checked
+# before any of its matrices is allocated.  The largest body in the
+# fixtures, the test suite and the benchmark workloads has dimension 12,
+# and the largest module any builder constructs from them 22.
+MAX_MODULE_DIM = 256
 
 
 class FormatError(ValueError):
@@ -237,6 +244,14 @@ def _int_field(
     return value
 
 
+def _name(block: Block, default: str) -> str:
+    """The optional name argument of an algebra, module, complex or
+    generator block."""
+    if len(block.args) > 1:
+        raise FormatError(f"{block.kind} block takes at most one name", block.line)
+    return block.args[0] if block.args else default
+
+
 def _degree(block: Block) -> int:
     """The degree of a term, diff, component or piece block: its last
     argument (a piece block's first argument is its kind)."""
@@ -346,7 +361,7 @@ def _write_algebra(w: _Writer, name: str, pres: Presentation):
 def decode_algebra(block: Block) -> tuple[str, Algebra]:
     if block.kind != "algebra":
         raise FormatError(f"expected an algebra block, got {block.kind!r}", block.line)
-    name = block.args[0] if block.args else "algebra"
+    name = _name(block, "algebra")
     p = _int_field(block, "modulus")
     cap = _int_field(block, "cap")
     vertices = []
@@ -431,6 +446,11 @@ def _read_module_body(block: Block, alg: Algebra) -> Module:
     for v in alg.vertices:
         if v not in dims:
             raise FormatError(f"missing dimension for vertex {v!r}", block.line)
+    total = sum(dims.values())
+    if total > MAX_MODULE_DIM:
+        raise FormatError(
+            f"module dimension {total} exceeds the limit {MAX_MODULE_DIM}", block.line
+        )
     shapes = [(dims[a.target], dims[a.source]) for a in alg.arrows]
     actions = _read_matrices(block, alg.p, alg.arrow_index, shapes, "arrow")
     return Module(alg, [dims[v] for v in alg.vertices], actions)
@@ -439,7 +459,7 @@ def _read_module_body(block: Block, alg: Algebra) -> Module:
 def decode_module(block: Block, alg: Algebra) -> tuple[str, Module]:
     if block.kind != "module":
         raise FormatError(f"expected a module block, got {block.kind!r}", block.line)
-    name = block.args[0] if block.args else "module"
+    name = _name(block, "module")
     with _in_file(block.line):
         return name, _read_module_body(block, alg)
 
@@ -539,7 +559,7 @@ def decode_complex_file(blocks: list[Block], alg: Algebra) -> tuple[str, Complex
             terms[degree] = namespace[values[1]]
         else:
             raise FormatError(f"unknown module {values[1]!r}", line)
-    name = cplx_block.args[0] if cplx_block.args else "complex"
+    name = _name(cplx_block, "complex")
     with _in_file(cplx_block.line):
         return name, _read_complex(cplx_block, alg, terms)
 
@@ -564,13 +584,16 @@ def _write_generator(w: _Writer, name: str, gen: Generator):
 def decode_generator(block: Block, alg: Algebra) -> tuple[str, Generator]:
     if block.kind != "generator":
         raise FormatError(f"expected a generator block, got {block.kind!r}", block.line)
-    name = block.args[0] if block.args else "generator"
+    name = _name(block, "generator")
     flag = _int_field(block, "semi_resolving", 1, choices=(0, 1))
     namespace: dict[str, Module] = {}
     for child in block.children_of("module"):
         mod_name, m = decode_module(child, alg)
         namespace[mod_name] = m
     summands: list[Module] = []
+    for fname, values, line in block.fields:
+        if fname == "use_projectives" and values:
+            raise FormatError("use_projectives takes no arguments", line)
     if block.field_values("use_projectives"):
         for v in alg.vertices:
             summands.append(indecomposable_projective(alg, v))

@@ -8,13 +8,11 @@ certificate builders and the verifier, is therefore exact as well.  So is
 syzygy_closure, which decides with one membership test whether add M is
 closed under syzygies.
 
-The reporting functions decompose and modules_isomorphic are the only
-searches left.  They enumerate exhaustively whenever the search space is
-small and fall back to seeded random trials otherwise: the threshold
-ENUM_LIMIT bounds the number of coefficient vectors tried exhaustively;
-above it RANDOM_TRIALS seeded combinations are used, which can in principle
-miss a splitting or an isomorphism.  Nothing on the membership or
-certificate path calls them.
+decompose and modules_isomorphic search a hom space exhaustively, and only
+when it has at most ENUM_LIMIT elements (p^k for a k-dimensional space
+over F_p); a search they cannot finish within that limit raises
+AlgebraError rather than guess.  Nothing on the membership or certificate
+path calls them; they are the reference the tests check in_add against.
 """
 
 from __future__ import annotations
@@ -39,7 +37,6 @@ from .linalg import Matrix, hstack, inverse, rank, solve
 __all__ = [
     "DEFAULT_CAP",
     "ENUM_LIMIT",
-    "RANDOM_TRIALS",
     "Decomposition",
     "decompose",
     "modules_isomorphic",
@@ -56,18 +53,10 @@ __all__ = [
 
 DEFAULT_CAP = 32
 ENUM_LIMIT = 4096
-RANDOM_TRIALS = 512
 
 
 class GeneratorError(AlgebraError):
     """The declared generator is unusable (projectives not in add M)."""
-
-
-def _rng_for(seed: int, *tags: int) -> np.random.Generator:
-    mixed = np.uint64(seed & 0xFFFFFFFF)
-    for t in tags:
-        mixed = np.uint64((int(mixed) * 1000003 + (t & 0xFFFFFFFF)) % (2**63))
-    return np.random.default_rng(int(mixed))
 
 
 def _combinations(p: int, k: int):
@@ -85,36 +74,35 @@ def _combinations(p: int, k: int):
         yield tuple(vec)
 
 
-def _endo_candidates(basis, p: int, seed: int):
-    """Endomorphisms to try: basis first, then exhaustive combinations when
-    the space is small, else seeded random combinations."""
-    k = len(basis)
+def _require_enumerable(what: str, p: int, k: int) -> None:
+    """Refuse an exhaustive search over a hom space of p^k elements above
+    ENUM_LIMIT."""
+    if p**k > ENUM_LIMIT:
+        raise AlgebraError(
+            f"{what}: the hom space has {p}^{k} elements, more than "
+            f"ENUM_LIMIT = {ENUM_LIMIT}, too many to search exhaustively"
+        )
+
+
+def _endo_candidates(basis, p: int):
+    """Endomorphisms to try: the basis first, then every other combination.
+
+    Once the basis is used up, a space of more than ENUM_LIMIT elements
+    raises AlgebraError instead of being searched."""
     yield from basis
-    if k == 0:
-        return
-    if p**k <= ENUM_LIMIT:
-        for coeffs in _combinations(p, k):
-            if sum(1 for c in coeffs if c) <= 1:
-                continue  # basis vectors already tried
-            yield _combine(basis, coeffs)
-    else:
-        rng = _rng_for(seed, k)
-        for _ in range(RANDOM_TRIALS):
-            coeffs = tuple(int(c) for c in rng.integers(0, p, size=k))
-            if not any(coeffs):
-                continue
-            yield _combine(basis, coeffs)
+    _require_enumerable("decompose", p, len(basis))
+    for coeffs in _combinations(p, len(basis)):
+        if sum(1 for c in coeffs if c) <= 1:
+            continue  # basis vectors already tried
+        yield _combine(basis, coeffs)
 
 
 def _combine(basis, coeffs) -> ModuleMap:
+    """sum c * b over a nonzero coefficient vector."""
     f = None
     for c, b in zip(coeffs, basis):
-        if not c:
-            continue
-        term = b.scale(c)
-        f = term if f is None else f + term
-    if f is None:
-        f = ModuleMap.zero(basis[0].source, basis[0].target)
+        if c:
+            f = b.scale(c) if f is None else f + b.scale(c)
     return f
 
 
@@ -128,7 +116,7 @@ def _power(f: ModuleMap, n: int) -> ModuleMap:
     return g
 
 
-def _try_split(m: Module, seed: int):
+def _try_split(m: Module):
     """Find a Fitting splitting m = ker(f^N) + im(f^N), or None.
 
     Returns ((k, incl_k), (i, incl_i)) with both parts nonzero.  When no
@@ -137,7 +125,7 @@ def _try_split(m: Module, seed: int):
     """
     n = m.total_dim
     basis = hom_space(m, m)
-    for f in _endo_candidates(basis, m.algebra.p, seed):
+    for f in _endo_candidates(basis, m.algebra.p):
         g = _power(f, max(n, 1))
         r = sum(rank(b) for b in g.blocks)
         if 0 < r < n:
@@ -163,29 +151,31 @@ class Decomposition:
     out_of: ModuleMap  # module -> sum of parts
 
 
-def decompose(m: Module, seed: int = 0) -> Decomposition:
+def decompose(m: Module) -> Decomposition:
     """Split a module into indecomposable summands by Fitting's lemma.
 
-    Endomorphisms are drawn from the computed endomorphism basis plus
-    seeded combinations; any f with 0 < rank(f^N) < dim splits the module
+    Endomorphisms are drawn from the computed endomorphism basis, then from
+    all its combinations; any f with 0 < rank(f^N) < dim splits the module
     along ker(f^N) and im(f^N).  The process recurses until nothing splits,
-    then the assembled isomorphism pair is verified exactly.
+    then the assembled isomorphism pair is verified exactly.  A part that
+    no basis endomorphism splits and whose endomorphism space has more than
+    ENUM_LIMIT elements raises AlgebraError.
     """
     alg = m.algebra
     leaves: list[tuple[Module, ModuleMap]] = []
 
-    def walk(part: Module, incl: ModuleMap, depth: int) -> None:
+    def walk(part: Module, incl: ModuleMap) -> None:
         if part.is_zero():
             return
-        split = _try_split(part, seed + depth)
+        split = _try_split(part)
         if split is None:
             leaves.append((part, incl))
             return
         (k, incl_k), (i, incl_i) = split
-        walk(k, incl.compose(incl_k), depth + 1)
-        walk(i, incl.compose(incl_i), depth + 2)
+        walk(k, incl.compose(incl_k))
+        walk(i, incl.compose(incl_i))
 
-    walk(m, ModuleMap.identity(m), 0)
+    walk(m, ModuleMap.identity(m))
     parts = tuple(part for part, _ in leaves)
     total, injs, _ = direct_sum(alg, list(parts))
     blocks = []
@@ -211,7 +201,7 @@ def decompose(m: Module, seed: int = 0) -> Decomposition:
     grouped: list[tuple[Module, int]] = []
     for part in parts:
         for idx, (rep, count) in enumerate(grouped):
-            if modules_isomorphic(rep, part, seed) is not None:
+            if modules_isomorphic(rep, part) is not None:
                 grouped[idx] = (rep, count + 1)
                 break
         else:
@@ -219,13 +209,12 @@ def decompose(m: Module, seed: int = 0) -> Decomposition:
     return Decomposition(m, tuple(grouped), parts, into, out_of)
 
 
-def modules_isomorphic(a: Module, b: Module, seed: int = 0) -> ModuleMap | None:
-    """An isomorphism a -> b, or None if none is found.
+def modules_isomorphic(a: Module, b: Module) -> ModuleMap | None:
+    """An isomorphism a -> b, or None if there is none.
 
-    Requires equal dimension vectors, then hunts for an invertible element
-    of Hom(a, b): exhaustively when p^dim Hom is below ENUM_LIMIT, else by
-    seeded random trials (which can in principle miss; the exhaustive
-    regime covers everything this package ships).
+    Requires equal dimension vectors, then tries every element of Hom(a, b)
+    for an invertible one.  A hom space of more than ENUM_LIMIT elements
+    (p^dim Hom) raises AlgebraError.
     """
     if a.algebra != b.algebra:
         raise AlgebraError("isomorphism test needs a common algebra")
@@ -238,20 +227,11 @@ def modules_isomorphic(a: Module, b: Module, seed: int = 0) -> ModuleMap | None:
     if k == 0:
         return None
     p = a.algebra.p
-    if p**k <= ENUM_LIMIT:
-        for coeffs in _combinations(p, k):
-            f = _combine(basis, coeffs)
-            if f.is_isomorphism():
-                return f
-    else:
-        rng = _rng_for(seed, k, a.total_dim)
-        for _ in range(RANDOM_TRIALS):
-            coeffs = tuple(int(c) for c in rng.integers(0, p, size=k))
-            if not any(coeffs):
-                continue
-            f = _combine(basis, coeffs)
-            if f.is_isomorphism():
-                return f
+    _require_enumerable("modules_isomorphic", p, k)
+    for coeffs in _combinations(p, k):
+        f = _combine(basis, coeffs)
+        if f.is_isomorphism():
+            return f
     return None
 
 

@@ -9,7 +9,8 @@ Criterion 5 exercises the claim that the kernel of any chain map between
 finite sums of disks with positive indices has homology concentrated in
 degree zero.  That claim is false in this generality (a map hitting only
 the bottom copy of a higher disk leaves kernel homology one degree below
-its index; see test_stalk_reduce_concentration_diagnostic), so the
+its index; see test_complexes.py::
+test_disk_kernel_homology_outside_degree_zero), so the
 criterion is expected to fail; it is implemented faithfully and reports
 the violation count rather than being weakened to pass.
 """

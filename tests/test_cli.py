@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import pathlib
 import shlex
+import tracemalloc
 
 import pytest
 
@@ -268,6 +269,10 @@ def _append_token(line: str) -> list[str]:
     return [line + " x"]
 
 
+def _insert_before(new: str):
+    return lambda line: [line[: len(line) - len(line.lstrip())] + new, line]
+
+
 CERT_CASES = {
     "cert-term-degree-not-int": ("begin term", _retag("begin term x"), 0),
     "cert-component-without-degree": ("begin component", _retag("begin component"), 0),
@@ -287,10 +292,14 @@ CERT_LINE_CASES = {
     "cert-flag-trailing-token": ("semi_resolving 1", _append_token),
     "cert-flag-not-0-or-1": ("semi_resolving 1", _retag("semi_resolving 7")),
     "cert-end-certificate-trailing-token": ("end certificate", _append_token),
+    "cert-algebra-extra-argument": ("begin algebra", _append_token),
+    "cert-generator-extra-argument": ("begin generator", _append_token),
+    "cert-use-projectives-argument": ("semi_resolving 1", _insert_before("use_projectives x")),
 }
 
 FILE_CASES = {
     "module-negative-dim": ("xdim", _lambda2_module("dim 1 -1\ndim 2 0\n"), 2),
+    "module-extra-argument": ("xdim", "begin module m x\ndim 1 1\ndim 2 0\nend module\n", 1),
     "matrix-negative-shape": (
         "xdim",
         _lambda2_module("dim 1 1\ndim 2 1\nbegin matrix a -1 1\nend matrix\n"),
@@ -313,6 +322,12 @@ FILE_CASES = {
         "begin module S1\ndim 1 1\ndim 2 0\nend module\n"
         "begin complex c\nsupport 0 0\nterm 0\nend complex\n",
         7,
+    ),
+    "complex-extra-argument": (
+        "witness",
+        "begin module S1\ndim 1 1\ndim 2 0\nend module\n"
+        "begin complex c x\nsupport 0 0\nterm 0 S1\nend complex\n",
+        5,
     ),
     # each support degree needs a term, so a short file cannot ask for a long complex
     "complex-support-without-terms": (
@@ -360,6 +375,26 @@ def test_malformed_input_exits_3_with_line(case, lambda3_certificate, tmp_path, 
     err = capsys.readouterr().err
     assert f"line {line}:" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("dim", [2000, 10**5])
+def test_module_dimension_limit_exits_3_in_bounded_memory(dim, tmp_path, capsys):
+    # 48 bytes at dim 2000: no matrix lines, so a decoder without the limit
+    # would allocate the zero actions of every arrow (61 MiB at 2000).
+    path = tmp_path / "big.mod"
+    path.write_text(_lambda2_module(f"dim 1 {dim}\ndim 2 {dim}\n"))
+    capsys.readouterr()
+    tracemalloc.start()
+    try:
+        code = main(["xdim", fx("lambda2.alg"), str(path), fx("lambda2.proj.gen")])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "line 1:" in err and "exceeds the limit 256" in err
+    assert "Traceback" not in err
+    assert peak < 5 * 2**20
 
 
 # ---------------------------------------------------------------------------

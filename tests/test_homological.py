@@ -12,6 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from levelcert.algebra import (
+    AlgebraError,
     Matrix,
     Module,
     ModuleMap,
@@ -106,8 +107,8 @@ def test_decompose_deterministic(a3):
     s1 = simple_module(a3, "1")
     p2 = indecomposable_projective(a3, "2")
     total, _, _ = direct_sum(a3, [s1, p2])
-    d1 = decompose(total, seed=7)
-    d2 = decompose(total, seed=7)
+    d1 = decompose(total)
+    d2 = decompose(total)
     assert d1.parts == d2.parts
     assert d1.into == d2.into
 
@@ -218,19 +219,31 @@ def a4_f3():
     return load_algebra(dataclasses.replace(a4.presentation, p=3))
 
 
-def test_in_add_exact_beyond_enumeration_limit(a4_f3):
-    # Over F_3 both endomorphism spaces have 3^13 elements, far past
-    # ENUM_LIMIT: a Fitting search would fall back to seeded trials.
-    gen = make_generator(projective_generator(a4_f3))
+def _beyond_enumeration_limit(a4_f3):
+    """P1^3 + P2 and S2 + P1^3 over F_3: both endomorphism spaces have
+    3^13 elements, far past ENUM_LIMIT."""
     p1 = indecomposable_projective(a4_f3, "1")
     p2 = indecomposable_projective(a4_f3, "2")
     s2 = simple_module(a4_f3, "2")
     member, _, _ = direct_sum(a4_f3, [p1, p1, p1, p2])
     other, _, _ = direct_sum(a4_f3, [s2, p1, p1, p1])
+    return member, other
+
+
+def test_in_add_exact_beyond_enumeration_limit(a4_f3):
+    gen = make_generator(projective_generator(a4_f3))
+    member, other = _beyond_enumeration_limit(a4_f3)
     for x in (member, other):
         assert 3 ** len(hom_space(x, x)) > ENUM_LIMIT
     assert in_add(member, gen) is True
     assert in_add(other, gen) is False
+
+
+def test_modules_isomorphic_refuses_beyond_enumeration_limit(a4_f3):
+    # The search cannot try all 3^13 maps, so it says so instead of guessing.
+    for x in _beyond_enumeration_limit(a4_f3):
+        with pytest.raises(AlgebraError, match=r"3\^13 elements, more than ENUM_LIMIT = 4096"):
+            modules_isomorphic(x, x)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from levelcert.complexes import disk_profile, homology
+from levelcert.complexes import assemble_pieces, homology
 from levelcert.sampling import (
     random_chain_map,
     random_complex,
@@ -52,9 +52,8 @@ def test_random_complex_deterministic(a3):
 def test_random_disk_sum_profile(dual):
     for seed in range(10):
         c, pieces = random_disk_sum(dual, rng(seed), indices=(1, 4))
-        got = disk_profile(c)
-        assert got is not None
-        assert all(p.degree >= 1 for p in got)
+        assert all(p.kind == "disk" and 1 <= p.degree <= 4 for p in pieces)
+        assert c == assemble_pieces(dual, pieces)
 
 
 def test_random_chain_map_squares(point, dual):
