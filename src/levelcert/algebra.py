@@ -49,13 +49,26 @@ __all__ = [
     "simple_module",
     "solve_left_composition",
     "factor_through_mono",
+    "MAX_SYSTEM_CELLS",
+    "check_system_cells",
 ]
 
 MAX_PATHS = 200_000
 
+# The most cells a linear system or composition table may have; checked
+# before it is allocated.  The largest one the fixtures, the test suite and
+# the benchmark workloads build has 7140 cells.
+MAX_SYSTEM_CELLS = 1 << 20
+
 
 class AlgebraError(ValueError):
     """Raised for malformed presentations or failed finiteness checks."""
+
+
+def check_system_cells(what: str, cells: int) -> None:
+    """Refuse to allocate a system of more than MAX_SYSTEM_CELLS cells."""
+    if cells > MAX_SYSTEM_CELLS:
+        raise AlgebraError(f"{what} of {cells} cells exceeds the limit {MAX_SYSTEM_CELLS}")
 
 
 @dataclass(frozen=True)
@@ -111,6 +124,7 @@ class Algebra:
         self.basis: tuple[Path, ...] = basis
         # mult[(i, j)] = tuple of (basis index, coeff) for basis[i] * basis[j]
         self.mult: dict[tuple[int, int], tuple[tuple[int, int], ...]] = mult
+        self.zero_module: Module | None = None  # built by Module.zero
 
     @property
     def dim(self) -> int:
@@ -357,11 +371,11 @@ class Module:
 
     @classmethod
     def zero(cls, algebra: Algebra) -> "Module":
-        dims = [0] * len(algebra.vertices)
-        actions = [
-            Matrix.zeros(0, 0, algebra.p) for _ in algebra.arrows
-        ]
-        return cls(algebra, dims, actions)
+        """The zero module, built once per algebra."""
+        if algebra.zero_module is None:
+            actions = [Matrix.zeros(0, 0, algebra.p) for _ in algebra.arrows]
+            algebra.zero_module = cls(algebra, [0] * len(algebra.vertices), actions)
+        return algebra.zero_module
 
     def dim(self, v: str) -> int:
         return self.dims[self.algebra.vertex_index[v]]
@@ -444,8 +458,20 @@ class ModuleMap:
         raise AttributeError("ModuleMap is immutable")
 
     @classmethod
+    def _by_construction(cls, source: Module, target: Module, blocks) -> "ModuleMap":
+        """A map whose blocks have the right shapes and intertwine every
+        arrow by construction; only the common algebra is checked."""
+        if source.algebra != target.algebra:
+            raise AlgebraError("module maps need a common algebra")
+        f = object.__new__(cls)
+        object.__setattr__(f, "source", source)
+        object.__setattr__(f, "target", target)
+        object.__setattr__(f, "blocks", tuple(blocks))
+        return f
+
+    @classmethod
     def identity(cls, m: Module) -> "ModuleMap":
-        return cls(m, m, [Matrix.identity(m.algebra.p, d) for d in m.dims])
+        return cls._by_construction(m, m, [Matrix.identity(m.algebra.p, d) for d in m.dims])
 
     @classmethod
     def zero(cls, source: Module, target: Module) -> "ModuleMap":
@@ -453,7 +479,7 @@ class ModuleMap:
         blocks = [
             Matrix.zeros(dt, ds, p) for dt, ds in zip(target.dims, source.dims)
         ]
-        return cls(source, target, blocks)
+        return cls._by_construction(source, target, blocks)
 
     def block(self, v: str) -> Matrix:
         return self.blocks[self.source.algebra.vertex_index[v]]
@@ -553,10 +579,16 @@ def hom_space(a: Module, b: Module) -> tuple[ModuleMap, ...]:
     """
     if a.algebra != b.algebra:
         raise AlgebraError("hom_space needs a common algebra")
-    p = a.algebra.p
+    alg = a.algebra
+    p = alg.p
     nvert = len(a.dims)
     offsets, sizes = _map_layout(a, b)
     nvars = sum(sizes)
+    n_eq = sum(
+        b.dims[alg.vertex_index[x.target]] * a.dims[alg.vertex_index[x.source]]
+        for x in alg.arrows
+    )
+    check_system_cells("hom_space system", nvars * max(n_eq, nvars))
     rows = _intertwining_rows(a, b, offsets, sizes)
     if rows:
         system = Matrix(p, np.vstack(rows))

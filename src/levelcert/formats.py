@@ -59,6 +59,7 @@ from .levels import Branch, Leaf, Node
 
 __all__ = [
     "MAX_MODULE_DIM",
+    "MAX_TREE_DEPTH",
     "FormatError",
     "CertificateDecodeError",
     "parse_document",
@@ -83,6 +84,11 @@ __all__ = [
 # fixtures, the test suite and the benchmark workloads has dimension 12,
 # and the largest module any builder constructs from them 22.
 MAX_MODULE_DIM = 256
+
+# The deepest certificate tree the decoder reads.  Honest certificates are
+# at most 4 levels deep; the limit keeps decoding and verifying, which
+# recurse once per level, far from Python's recursion limit.
+MAX_TREE_DEPTH = 64
 
 
 class FormatError(ValueError):
@@ -694,8 +700,13 @@ def _write_node(w: _Writer, node: Node):
     w.end("branch")
 
 
-def _read_node(block: Block, alg: Algebra, path: str) -> Node:
-    """The node of a leaf or branch block (callers pass no other kind)."""
+def _read_node(block: Block, alg: Algebra, path: str, depth: int = 1) -> Node:
+    """The node of a leaf or branch block (callers pass no other kind); the
+    root is at depth 1."""
+    if depth > MAX_TREE_DEPTH:
+        raise FormatError(
+            f"certificate tree is deeper than the limit {MAX_TREE_DEPTH}", block.line
+        )
     level = _int_field(block, "level")
     if block.kind == "leaf":
         with _in_node(path):
@@ -724,8 +735,8 @@ def _read_node(block: Block, alg: Algebra, path: str) -> Node:
     kids = [b for b in block.children if b.kind in ("leaf", "branch")]
     if len(kids) != 2:
         raise CertificateDecodeError(path, "branch needs exactly two children")
-    sub = _read_node(kids[0], alg, path + ".sub")
-    rest = _read_node(kids[1], alg, path + ".rest")
+    sub = _read_node(kids[0], alg, path + ".sub", depth + 1)
+    rest = _read_node(kids[1], alg, path + ".rest", depth + 1)
     with _in_node(path):
         return Branch(subject, ses, link, kind, sub, rest, level)
 

@@ -25,6 +25,7 @@ from .algebra import (
     AlgebraError,
     Module,
     ModuleMap,
+    check_system_cells,
     direct_sum,
     hom_space,
     image,
@@ -284,6 +285,9 @@ def in_add(m: Module, gen: Generator) -> bool:
     if not out_of:
         return False
     p = m.algebra.p
+    check_system_cells(
+        "in_add table", sum(d * d for d in m.dims) * len(out_of) * len(into)
+    )
     rows = []
     for v, d in enumerate(m.dims):
         if d == 0:

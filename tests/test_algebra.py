@@ -184,6 +184,26 @@ def test_intertwining_enforced(a2):
         ModuleMap(s1, p1, (mat(2, 1, 1, [1]), mat(2, 1, 0, [])))
 
 
+def test_zero_and_identity_maps_equal_their_checked_forms(a2, a3):
+    p1 = indecomposable_projective(a2, "1")
+    s1 = simple_module(a2, "1")
+    blocks = (mat(2, 1, 1, [0]), mat(2, 0, 1, []))
+    assert ModuleMap.zero(p1, s1) == ModuleMap(p1, s1, blocks)
+    assert ModuleMap.identity(p1) == ModuleMap(p1, p1, (mat(2, 1, 1, [1]), mat(2, 1, 1, [1])))
+    assert Module.zero(a2) is Module.zero(a2)
+    with pytest.raises(AlgebraError, match="common algebra"):
+        ModuleMap.zero(p1, simple_module(a3, "1"))
+    with pytest.raises(AlgebraError, match="common algebra"):
+        ModuleMap.zero(Module.zero(a3), s1)
+
+
+def test_hom_space_system_limit(point):
+    # 33 * 33 unknowns and no equations: 1089^2 cells, just past 2^20
+    big = Module(point, (33,), ())
+    with pytest.raises(AlgebraError, match="hom_space system of .* exceeds the limit"):
+        hom_space(big, big)
+
+
 def test_hom_simple_to_simple_a2(a2):
     # Brute force: every component pair is forced to zero by shapes, and the
     # intertwining system over the 1-dimensional spaces has no nonzero

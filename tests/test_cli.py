@@ -397,6 +397,80 @@ def test_module_dimension_limit_exits_3_in_bounded_memory(dim, tmp_path, capsys)
     assert peak < 5 * 2**20
 
 
+_ZERO_BRANCH_HEAD = """begin branch
+level 0
+kind middle
+begin subject
+end subject
+begin ses
+begin sub
+end sub
+begin middle
+end middle
+begin quotient
+end quotient
+begin inclusion
+end inclusion
+begin projection
+end projection
+end ses
+begin link
+end link
+"""
+_ZERO_LEAF = "begin leaf\nlevel 0\nbegin subject\nend subject\nbegin presentation\nend presentation\nend leaf\n"
+
+
+def _nested_zero_certificate(depth: int) -> str:
+    """A lambda0 certificate whose tree nests depth branches over the zero
+    complex down its sub side."""
+    head = (
+        "begin certificate\nseed 0\n"
+        + (FIXTURES / "lambda0.alg").read_text()
+        + (FIXTURES / "lambda0.proj.gen").read_text()
+    )
+    nodes = _ZERO_BRANCH_HEAD * depth + _ZERO_LEAF + (_ZERO_LEAF + "end branch\n") * depth
+    return head + nodes + "end certificate\n"
+
+
+@pytest.mark.parametrize("depth, code", [(63, 0), (64, 3), (500, 3)])
+def test_tree_depth_limit(depth, code, tmp_path, capsys):
+    # depth nested branches and the innermost leaf make depth + 1 levels
+    text = _nested_zero_certificate(depth)
+    path = tmp_path / "deep.cert"
+    path.write_text(text)
+    capsys.readouterr()
+    assert main(["verify", str(path)]) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if code == 3:
+        nodes = [k for k, s in enumerate(text.splitlines(), 1) if s in ("begin branch", "begin leaf")]
+        assert f"line {nodes[64]}:" in err and "deeper than the limit 64" in err
+
+
+def test_membership_table_limit_exits_3(tmp_path, capsys):
+    # Hom(m, M) and Hom(M, m) have 24 * 25 basis maps each, so the
+    # membership table would have 24^2 * 600^2 cells (1.54 GiB)
+    mod = tmp_path / "big.mod"
+    mod.write_text("begin module m\ndim 1 24\nend module\n")
+    gen = tmp_path / "big.gen"
+    gen.write_text(
+        "begin generator g\nsemi_resolving 1\nuse_projectives\n"
+        "begin module S\ndim 1 24\nend module\nsummand S\nend generator\n"
+    )
+    capsys.readouterr()
+    tracemalloc.start()
+    try:
+        code = main(["xdim", fx("lambda0.alg"), str(mod), str(gen)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "in_add table of 207360000 cells exceeds the limit" in err
+    assert "Traceback" not in err
+    assert peak < 16 * 2**20  # the two hom bases take about 9 MiB
+
+
 # ---------------------------------------------------------------------------
 # The README's command-line examples run as written
 

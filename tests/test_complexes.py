@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pathlib
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from levelcert.algebra import (
     Matrix,
     Module,
     ModuleMap,
+    factor_through_mono,
     indecomposable_projective,
     projective_cover,
     projective_generator,
@@ -28,6 +31,11 @@ from levelcert.complexes import (
     projective_epi,
     stalk,
 )
+from levelcert.formats import load_algebra_file
+from levelcert.linalg import solve
+from levelcert.sampling import random_chain_map, random_complex
+
+FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def f2_space(point, n):
@@ -184,6 +192,43 @@ def test_composition_of_quasi_isos(a2):
     phi = ChainMap(c, s, {0: cover.epi})
     psi = ChainMap.identity(s)
     assert is_quasi_iso(psi.compose(phi))
+
+
+def _homology_quasi_iso(phi: ChainMap) -> bool:
+    """The oracle: every induced map H_n(source) -> H_n(target), built from
+    homology modules and their witnessing maps, is an isomorphism."""
+    for n in set(phi.source.support) | set(phi.target.support):
+        hs = homology(phi.source, n)
+        ht = homology(phi.target, n)
+        mapped = phi.component(n).compose(hs.cycle_incl)
+        on_cycles = factor_through_mono(mapped, ht.cycle_incl)
+        # descend through the surjection hs.quotient
+        lifted = ht.quotient.compose(on_cycles)
+        blocks = [solve(qb.T, lb.T).T for qb, lb in zip(hs.quotient.blocks, lifted.blocks)]
+        if not ModuleMap(hs.module, ht.module, blocks).is_isomorphism():
+            return False
+    return True
+
+
+def test_cone_ranks_agree_with_homology_maps():
+    rng = np.random.default_rng(11)
+    algebras = [load_algebra_file(str(FIXTURES / f"lambda{i}.alg"))[1] for i in range(1, 5)]
+    verdicts = []
+    for k in range(160):
+        alg = algebras[k % 4]
+        a = random_complex(alg, rng, max_len=3)
+        b = a if k % 2 else random_complex(alg, rng, max_len=3)
+        phi = random_chain_map(a, b, rng)
+        expected = _homology_quasi_iso(phi)
+        assert is_quasi_iso(phi) == expected, (k, phi)
+        verdicts.append(expected)
+    assert 0 < sum(verdicts) < len(verdicts)
+
+
+def test_term_outside_support_is_the_shared_zero_module(a2):
+    c = rad_inclusion_complex(a2)
+    assert c.term(5) is Module.zero(a2)
+    assert Complex.zero(a2).term(0) is c.term(-3)
 
 
 # ---------------------------------------------------------------------------

@@ -4,12 +4,15 @@ from __future__ import annotations
 
 import pytest
 
+from levelcert import levels
 from levelcert.algebra import (
+    MAX_SYSTEM_CELLS,
+    Module,
     indecomposable_projective,
     projective_generator,
     simple_module,
 )
-from levelcert.complexes import ChainMap, Piece, disk, stalk
+from levelcert.complexes import ChainMap, Piece, assemble_pieces, disk, stalk
 from levelcert.homological import make_generator
 from levelcert.levels import (
     Branch,
@@ -223,6 +226,34 @@ def test_verifier_names_failing_node(a2, gen_a2):
     verdict = verify_certificate(tampered, gen_a2)
     assert not verdict.accepted
     assert verdict.path == "root.sub"
+
+
+def test_verifier_tests_each_piece_module_once_per_call(a2, gen_a2, monkeypatch):
+    p1 = indecomposable_projective(a2, "1")
+    pieces = (Piece("stalk", p1, 0), Piece("stalk", p1, 1), Piece("disk", p1, 3))
+    c = assemble_pieces(a2, pieces)
+    leaf = Leaf(c, pieces, ChainMap.identity(c), 1)
+    real_in_add = levels.in_add
+    calls = []
+    monkeypatch.setattr(levels, "in_add", lambda m, gen: calls.append(m) or real_in_add(m, gen))
+    assert verify_certificate(leaf, gen_a2).accepted
+    assert calls == [p1]
+    assert verify_certificate(leaf, gen_a2).accepted
+    assert calls == [p1, p1]  # nothing carried over between calls
+
+
+def test_verifier_rejects_membership_table_over_the_limit(point):
+    # End(k^24) has 576 basis maps, so the table has 576^3 cells
+    m = Module(point, (24,), ())
+    assert 576**3 > MAX_SYSTEM_CELLS
+    gen = make_generator(m)
+    c = stalk(m, 0)
+    leaf = Leaf(c, (Piece("stalk", m, 0),), ChainMap.identity(c), 1)
+    verdict = verify_certificate(leaf, gen)
+    assert not verdict.accepted
+    assert verdict.path == "root"
+    assert "membership not decided" in verdict.reason
+    assert "exceeds the limit" in verdict.reason
 
 
 # ---------------------------------------------------------------------------
